@@ -165,8 +165,10 @@ def _train_report(args, cfg, ds, eval_ds, params, trace) -> report.ExperimentRep
     trace_summary = None
     if params is not None:
         splits["train"] = metrics.evaluate(ds.samples, _scores_for(params, ds))
-        eval_split = eval_ds if eval_ds is not None else ds
-        splits["eval"] = metrics.evaluate(eval_split.samples, _scores_for(params, eval_split))
+        if eval_ds is None:
+            splits["eval"] = splits["train"]
+        else:
+            splits["eval"] = metrics.evaluate(eval_ds.samples, _scores_for(params, eval_ds))
     if len(trace) > 0:
         trace_summary = report.TraceSummary(
             epochs=len(trace),
@@ -204,6 +206,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    threshold = metrics.check_tie_threshold(args.pred_tie_threshold)
     params = trainer.read_params(args.params)
     ds = data.read_dataset(args.data)
     if params.dim != ds.feature_dim:
@@ -212,7 +215,7 @@ def _cmd_eval(args) -> int:
             f"has feature_dim {ds.feature_dim}"
         )
     rep_a = metrics.evaluate(
-        ds.samples, _scores_for(params, ds), pred_tie_threshold=args.pred_tie_threshold
+        ds.samples, _scores_for(params, ds), pred_tie_threshold=threshold
     )
     if args.compare is not None:
         params_b = trainer.read_params(args.compare)
@@ -222,7 +225,7 @@ def _cmd_eval(args) -> int:
                 f"has feature_dim {ds.feature_dim}"
             )
         rep_b = metrics.evaluate(
-            ds.samples, _scores_for(params_b, ds), pred_tie_threshold=args.pred_tie_threshold
+            ds.samples, _scores_for(params_b, ds), pred_tie_threshold=threshold
         )
         _write_or_print(
             report.render_comparison(args.params, rep_a, args.compare, rep_b),
@@ -235,7 +238,7 @@ def _cmd_eval(args) -> int:
         config={
             "params": args.params,
             "data": args.data,
-            "pred_tie_threshold": args.pred_tie_threshold,
+            "pred_tie_threshold": threshold,
         },
         metrics={"eval": rep_a},
     )

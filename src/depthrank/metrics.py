@@ -10,6 +10,13 @@ family the weighted loss uses.
 All metrics depend on predictions only through the induced order (plus
 tie structure), so they are invariant under strictly increasing
 transforms of the scores.
+
+Cost: :func:`evaluate` scores WHDR (at ``pred_tie_threshold == 0``) and
+MAP over all cuts with a sort-based kernel over concatenated samples, a
+few thousand items per call, in O(N log N) time and O(N) memory for N
+items in total; no pair array or cut matrix is built.  WHDR at
+``pred_tie_threshold > 0`` falls back to labelling every index pair of a
+sample, which costs O(n^2) time and memory per sample of n items.
 """
 
 from __future__ import annotations
@@ -26,13 +33,15 @@ from .core import (
     RankedSample,
     as_score_vector,
     pair_arrays,
-    permutation_from_scores,
 )
 from .data import normalize_relevance
 from .errors import InvalidInputError
 
 FLAG_DEGENERATE_PRED_TIES = "degenerate-pred-ties"
 FLAG_ALL_ZERO_GAIN = "all-zero-gain"
+
+# Items per rank-kernel call in `evaluate`, rounded up to whole samples.
+_KERNEL_ITEMS = 4096
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,15 @@ class MetricReport:
             raise InvalidInputError("counts must be >= 0")
 
 
+def check_tie_threshold(value) -> float:
+    """A prediction tie threshold as a float; rejects negative and non-finite
+    values (``-0.0`` is accepted and returned as ``0.0``)."""
+    t = float(value)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise InvalidInputError(f"pred_tie_threshold must be finite and >= 0: {value}")
+    return t + 0.0
+
+
 def whdr_from_arrays(
     i: np.ndarray, j: np.ndarray, r: np.ndarray, pred_scores: np.ndarray,
     pred_tie_threshold: float = 0.0,
@@ -73,8 +91,7 @@ def whdr(
     A pair is predicted ``+1``/``-1`` when the score difference exceeds
     ``pred_tie_threshold`` in magnitude, ``0`` otherwise.
     """
-    if pred_tie_threshold < 0:
-        raise InvalidInputError(f"pred_tie_threshold must be >= 0: {pred_tie_threshold}")
+    pred_tie_threshold = check_tie_threshold(pred_tie_threshold)
     z = as_score_vector(pred_scores)
     i, j, r = pair_arrays(pairs)
     if i.size and (int(i.max()) >= z.size or int(j.max()) >= z.size):
@@ -106,17 +123,8 @@ def average_precision(binary_labels) -> float:
 
 def _sample_map(gt_perm: Permutation, pred_scores: np.ndarray) -> float:
     """Mean AP over ground-truth cut points 1..n-1 for one sample."""
-    n = len(gt_perm)
-    pred_order = permutation_from_scores(pred_scores).order_array
-    gt_rank = gt_perm.inverse_array[pred_order]
-    ks = np.arange(1, n, dtype=np.float64)
-    labels = (gt_rank[None, :] <= ks[:, None]).astype(np.float64)
-    cum = np.cumsum(labels, axis=1)
-    prec = cum / np.arange(1, n + 1, dtype=np.float64)
-    rec = cum / ks[:, None]
-    rec_prev = np.concatenate([np.zeros((n - 1, 1)), rec[:, :-1]], axis=1)
-    ap = np.sum(prec * (rec - rec_prev), axis=1)
-    return math.fsum(ap.tolist()) / (n - 1)
+    gt = _ground_truth([len(gt_perm)], gt_perm.inverse_array)
+    return float(_rank_metrics(gt, pred_scores)[1][0])
 
 
 def mean_average_precision(samples: Sequence[tuple[Permutation, object]]) -> float:
@@ -158,7 +166,7 @@ def ndcg(gt_scores, pred_scores, log_base: float = 2.0) -> float:
     if gains.max() == 0.0:
         return 1.0
     disc = math.log(log_base) / np.log(np.arange(2, s.size + 2, dtype=np.float64))
-    pred_order = permutation_from_scores(z).order_array
+    pred_order = np.argsort(-z, kind="stable")
     dcg = math.fsum((gains[pred_order] * disc).tolist())
     ideal = math.fsum((np.sort(gains)[::-1] * disc).tolist())
     return min(dcg / ideal, 1.0)
@@ -168,53 +176,220 @@ def evaluate(
     samples: Sequence[RankedSample],
     predictions: Sequence[np.ndarray],
     pred_tie_threshold: float = 0.0,
-    gt_tie_threshold: float = 0.0,
     log_base: float = 2.0,
 ) -> MetricReport:
     """Score predictions for a list of samples into one :class:`MetricReport`.
 
     WHDR pools all ground-truth pairs (every index pair of every sample,
-    labeled from the raw ground-truth scores at ``gt_tie_threshold``);
-    MAP and NDCG average per-sample values in sample order.  NDCG consumes
+    labeled from the raw ground-truth scores, equal scores tying); MAP and
+    NDCG average per-sample values in sample order.  NDCG consumes
     per-sample min-max normalized relevance so raw ground-truth scores of
     any sign are accepted.
     """
+    threshold = check_tie_threshold(pred_tie_threshold)
     if len(samples) == 0 or len(samples) != len(predictions):
         raise InvalidInputError("need equally many samples and prediction vectors")
-    wrong = 0
-    total = 0
-    maps = []
+    preds = []
     ndcgs = []
     flags = set()
     for sample, pred in zip(samples, predictions):
         z = as_score_vector(pred, n=sample.n)
         if sample.n < 2:
             raise InvalidInputError(f"sample {sample.id!r} has fewer than two items")
-        i, j, r = _gt_pair_arrays(sample, gt_tie_threshold)
-        w, t = whdr_from_arrays(i, j, r, z, pred_tie_threshold)
-        wrong += w
-        total += t
-        maps.append(_sample_map(sample.gt_perm, z))
         rel = normalize_relevance(sample.gt_scores)
         if rel.max() == 0.0:
             flags.add(FLAG_ALL_ZERO_GAIN)
         if z.max() == z.min():
             flags.add(FLAG_DEGENERATE_PRED_TIES)
         ndcgs.append(ndcg(rel, z, log_base))
+        preds.append(z)
+    # Runs of consecutive samples per kernel call bound its scratch memory.
+    sizes = np.array([s.n for s in samples])
+    cuts = (np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _KERNEL_ITEMS)) + 1).tolist()
+    wrong = pairs = 0
+    maps = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(samples)]):
+        gt = _ground_truth_of([s.gt_scores for s in samples[lo:hi]])
+        w, m = _rank_metrics(gt, np.concatenate(preds[lo:hi]))
+        wrong += w
+        pairs += gt.pairs
+        maps.extend(m.tolist())
+    if threshold > 0.0:
+        # "Within the threshold" is not transitive, so no sort can count it.
+        wrong = sum(whdr_from_arrays(*_gt_pair_arrays(s), z, threshold)[0]
+                    for s, z in zip(samples, preds))
     return MetricReport(
-        whdr=wrong / total,
+        whdr=wrong / pairs,
         map=math.fsum(maps) / len(maps),
         ndcg=math.fsum(ndcgs) / len(ndcgs),
         n_samples=len(samples),
-        n_pairs=total,
+        n_pairs=pairs,
         flags=tuple(sorted(flags)),
     )
 
 
-def _gt_pair_arrays(sample: RankedSample, gt_tie_threshold: float):
-    """Vectorized equivalent of ``pairs_from_permutation`` for evaluation."""
-    n = sample.n
-    i, j = np.triu_indices(n, k=1)
-    d = sample.gt_scores[i] - sample.gt_scores[j]
-    r = np.where(np.abs(d) <= gt_tie_threshold, 0, np.where(d > 0, 1, -1))
+def _gt_pair_arrays(sample: RankedSample):
+    """Every index pair of a sample, labeled from its ground-truth scores."""
+    i, j = np.triu_indices(sample.n, k=1)
+    r = np.sign(sample.gt_scores[i] - sample.gt_scores[j])
     return i.astype(np.intp), j.astype(np.intp), r.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _GroundTruth:
+    """What the rank kernel needs from the ground truth of a batch of samples.
+
+    The items of all samples are concatenated in sample order; ``seg``
+    keys each item by its sample.
+    """
+
+    sizes: np.ndarray      # (S,) items per sample
+    seg: np.ndarray        # (N,) sample of each item
+    local: np.ndarray      # (N,) 0-based position of each item within its sample
+    rank: np.ndarray       # (N,) 1-based ground-truth rank, ``gt_perm`` tie-break
+    tail: np.ndarray       # (N,) T(local + 1), where T(m) = sum_{k=m}^{n-1} 1/k
+    rank_tail: np.ndarray  # (N,) T(rank)
+    pairs: int             # index pairs over all samples
+    tie_pairs: int         # of which tied in the ground truth
+    tie_class: np.ndarray | None  # (N,) batch-wide id of the item's ground-truth score
+
+
+def _layout(sizes: np.ndarray):
+    """(seg, local) for samples of the given sizes laid end to end."""
+    seg = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return seg, np.arange(seg.size, dtype=np.int64) - starts[seg]
+
+
+def _run_starts(local: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Where runs of equal keys start in a sequence grouped by sample."""
+    first = local == 0
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return first
+
+
+def _tied_pairs(first: np.ndarray) -> int:
+    """Pairs inside the runs of a sequence; ``first`` marks where runs start."""
+    runs = np.diff(np.append(np.flatnonzero(first), first.size))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _ground_truth(sizes, rank, tie_class=None, tie_pairs: int = 0) -> _GroundTruth:
+    """Kernel input from concatenated 1-based ranks and, for WHDR, tie classes."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rank = np.asarray(rank, dtype=np.int64)
+    seg, local = _layout(sizes)
+    starts = np.cumsum(sizes) - sizes
+    # T(m) at m = local + 1: a suffix sum of 1/k within each sample, with
+    # T(n) = 0, taken as the batch's suffix sum minus the next sample's.
+    recip = np.where(local + 1 < sizes[seg], 1.0 / (local + 1), 0.0)
+    suffix = np.cumsum(recip[::-1])[::-1]
+    tail = suffix - np.append(suffix[starts[1:]], 0.0)[seg]
+    return _GroundTruth(
+        sizes=sizes, seg=seg, local=local, rank=rank, tail=tail,
+        rank_tail=tail[starts[seg] + rank - 1],
+        pairs=int((sizes * (sizes - 1) // 2).sum()),
+        tie_pairs=tie_pairs, tie_class=tie_class,
+    )
+
+
+def _ground_truth_of(gt_scores: Sequence[np.ndarray]) -> _GroundTruth:
+    """Kernel input for the ground-truth scores of a batch of samples."""
+    sizes = np.array([s.size for s in gt_scores], dtype=np.int64)
+    scores = np.concatenate(gt_scores)
+    seg, local = _layout(sizes)
+    order = np.lexsort((-scores, seg))
+    first = _run_starts(local, scores[order])
+    rank = np.empty(scores.size, dtype=np.int64)
+    rank[order] = local + 1
+    tie_class = np.empty(scores.size, dtype=np.int64)
+    tie_class[order] = np.cumsum(first) - 1
+    return _ground_truth(sizes, rank, tie_class, _tied_pairs(first))
+
+
+def _earlier(key: np.ndarray, bits: int, weights: np.ndarray):
+    """Dominance sums over a sequence of keys ``(sample << bits) | value``.
+
+    Returns, per element, the number of earlier elements of its sample
+    with a strictly smaller value, and the summed ``weights`` of the
+    earlier ones with a strictly larger value.  Each value bit, from the
+    top down, is one stable partition: elements that agree above bit ``b``
+    form a group, and within it an element with bit ``b`` set exceeds
+    every element without it.
+    """
+    n = key.size
+    pos = np.arange(n, dtype=np.int64)
+    # key, item, smaller, larger, weight: carried along as elements move
+    carried = [key.copy(), pos.copy(), np.zeros(n, dtype=np.int64), np.zeros(n),
+               np.array(weights, dtype=np.float64)]
+    first = np.ones(n, dtype=bool)
+    for b in range(bits - 1, -1, -1):
+        k, _, smaller, larger, w = carried
+        hi = k >> (b + 1)
+        np.not_equal(hi[1:], hi[:-1], out=first[1:])
+        heads = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        head = heads[group]
+        one = (k >> b) & 1
+        ones_incl = np.cumsum(one)
+        ones_before = ones_incl - one
+        ones_before -= ones_before[head]
+        zeros_before = pos - head - ones_before
+        smaller += zeros_before * one
+        prefix = np.zeros(n)
+        above = np.where(one == 1, w, 0.0)
+        np.cumsum(above[:-1], out=prefix[1:])
+        larger += np.where(one == 1, 0.0, prefix - prefix[head])
+        tails = np.append(heads[1:], n) - 1
+        zeros_in = tails + 1 - heads - (ones_incl[tails] - ones_incl[heads] + one[heads])
+        dest = head + np.where(one == 1, zeros_in[group] + ones_before, zeros_before)
+        for arr in carried:
+            arr[dest] = arr.copy()
+    item, smaller, larger = carried[1:4]
+    out_smaller = np.empty(n, dtype=np.int64)
+    out_larger = np.empty(n)
+    out_smaller[item] = smaller
+    out_larger[item] = larger
+    return out_smaller, out_larger
+
+
+def _rank_metrics(gt: _GroundTruth, z: np.ndarray):
+    """(misordered pairs at tie threshold 0, per-sample MAP over all cuts).
+
+    ``z`` holds the predicted scores of ``gt``'s items, concatenated.  The
+    count is ``None`` when ``gt`` has no tie classes.
+
+    With p the 1-based predicted position (descending, ascending-index
+    tie-break) and g_p the ground-truth rank of the item there, the APs
+    summed over all cuts are ``sum_p (1/p) [(A_p + 1) T(g_p) + S_p]``:
+    ``A_p`` counts earlier positions with a smaller rank and ``S_p`` sums
+    ``T(g_q)`` over earlier positions with a larger one.
+    """
+    seg, local = gt.seg, gt.local
+    bits = int(gt.sizes.max() - 1).bit_length()
+    order = np.lexsort((-z, seg))
+    t = gt.rank_tail[order]
+    a, s = _earlier((seg << bits) | (gt.rank[order] - 1), bits, t)
+    # A perfect ranking scores p T(p) at every position, and those sum to
+    # n - 1; summing the shortfall per position makes it score 1 exactly.
+    perfect = gt.tail * (local + 1)
+    shortfall = np.bincount(seg, weights=((a + 1) * t + s - perfect) / (local + 1),
+                            minlength=gt.sizes.size)
+    maps = np.clip(1.0 + shortfall / (gt.sizes - 1), 0.0, 1.0)
+    if gt.tie_class is None:
+        return None, maps
+    # Pred tie classes, numbered batch-wide in descending score order.
+    first = _run_starts(local, z[order])
+    seq_class = np.cumsum(first) - 1
+    pred_ties = _tied_pairs(first)
+    pred_class = np.empty_like(seq_class)
+    pred_class[order] = seq_class
+    # Sorted by (gt class, pred class), a discordant pair is exactly an
+    # earlier item with a strictly larger pred class.
+    joint = np.lexsort((pred_class, gt.tie_class))
+    c = pred_class[joint]
+    joint_ties = _tied_pairs(_run_starts(local, c, gt.tie_class[joint]))
+    value = c - seq_class[local == 0][seg]
+    discordant = int(_earlier((seg << bits) | value, bits, np.ones(c.size))[1].sum())
+    return discordant + gt.tie_pairs + pred_ties - 2 * joint_ties, maps

@@ -38,7 +38,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .losses import WeightConfig
-from .metrics import _sample_map, whdr_from_arrays
+from .metrics import _GroundTruth, _ground_truth_of, _rank_metrics
 from .rng import SplitMix64
 
 PARAMS_FORMAT = "depthrank.params.v1"
@@ -372,36 +372,24 @@ def sgd_step(
 
 @dataclass(frozen=True)
 class _EvalContext:
-    """Cached ground-truth pair arrays and permutations for trace metrics."""
+    """Trace-metric samples with the ground-truth side of the metric kernel."""
 
     samples: tuple[RankedSample, ...]
-    pair_i: tuple[np.ndarray, ...]
-    pair_j: tuple[np.ndarray, ...]
-    pair_r: tuple[np.ndarray, ...]
+    gt: _GroundTruth
+    # Always empty: perfbench's tracer reports the summed nbytes of these.
+    pair_i: tuple[np.ndarray, ...] = ()
+    pair_j: tuple[np.ndarray, ...] = ()
+    pair_r: tuple[np.ndarray, ...] = ()
 
 
 def _make_eval_context(samples: Sequence[RankedSample]) -> _EvalContext:
-    pi, pj, pr = [], [], []
-    for s in samples:
-        i, j = np.triu_indices(s.n, k=1)
-        d = s.gt_scores[i] - s.gt_scores[j]
-        r = np.where(d == 0, 0, np.where(d > 0, 1, -1)).astype(np.int64)
-        pi.append(i.astype(np.intp))
-        pj.append(j.astype(np.intp))
-        pr.append(r)
-    return _EvalContext(tuple(samples), tuple(pi), tuple(pj), tuple(pr))
+    return _EvalContext(tuple(samples), _ground_truth_of([s.gt_scores for s in samples]))
 
 
 def _trace_eval(params: ScorerParams, ctx: _EvalContext) -> tuple[float, float]:
-    wrong = total = 0
-    maps = []
-    for idx, s in enumerate(ctx.samples):
-        z = score(params, s.items)
-        w, t = whdr_from_arrays(ctx.pair_i[idx], ctx.pair_j[idx], ctx.pair_r[idx], z)
-        wrong += w
-        total += t
-        maps.append(_sample_map(s.gt_perm, z))
-    return wrong / total, math.fsum(maps) / len(maps)
+    z = np.concatenate([score(params, s.items) for s in ctx.samples])
+    wrong, maps = _rank_metrics(ctx.gt, z)
+    return wrong / ctx.gt.pairs, math.fsum(maps.tolist()) / len(maps)
 
 
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]:

@@ -87,6 +87,42 @@ def map_cuts_float(gt_order, pred_scores) -> float:
     return sum(aps) / (n - 1)
 
 
+def dense_sample_map(gt_rank, pred_scores) -> float:
+    """MAP over all cuts from an explicit (n-1) x n cut-label matrix.
+
+    ``gt_rank[item]`` is the item's 1-based ground-truth rank.  This is
+    the package's former O(n^2) implementation.
+    """
+    gt_rank = np.asarray(gt_rank)
+    pred = np.asarray(pred_scores, dtype=np.float64)
+    n = gt_rank.size
+    ranks = gt_rank[np.argsort(-pred, kind="stable")]
+    ks = np.arange(1, n, dtype=np.float64)
+    labels = (ranks[None, :] <= ks[:, None]).astype(np.float64)
+    cum = np.cumsum(labels, axis=1)
+    prec = cum / np.arange(1, n + 1, dtype=np.float64)
+    rec = cum / ks[:, None]
+    rec_prev = np.concatenate([np.zeros((n - 1, 1)), rec[:, :-1]], axis=1)
+    ap = np.sum(prec * (rec - rec_prev), axis=1)
+    return math.fsum(ap.tolist()) / (n - 1)
+
+
+def dense_whdr_counts(gt_scores, pred_scores, pred_tie_threshold=0.0):
+    """(#misordered pairs, #pairs) over every index pair of one sample.
+
+    Ground-truth labels tie only on equal scores; a prediction ties when
+    the score difference is at most ``pred_tie_threshold``.  This is the
+    package's former O(n^2) triu labelling.
+    """
+    gt = np.asarray(gt_scores, dtype=np.float64)
+    pred = np.asarray(pred_scores, dtype=np.float64)
+    i, j = np.triu_indices(gt.size, k=1)
+    r = np.sign(gt[i] - gt[j]).astype(np.int64)
+    d = pred[i] - pred[j]
+    got = (d > pred_tie_threshold).astype(np.int64) - (d < -pred_tie_threshold)
+    return int(np.count_nonzero(got != r)), int(r.size)
+
+
 def plackett_luce_prob(perm_order, scores) -> float:
     """Naive Plackett-Luce probability: product of stepwise softmax terms."""
     remaining = list(range(len(scores)))

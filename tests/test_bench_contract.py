@@ -1,0 +1,54 @@
+"""The package names and shapes that perfbench's per-layer tracer relies on.
+
+``perfbench/tracing.py`` wraps package functions by module path and reads
+a few attributes of their results.  A name it cannot resolve is dropped
+from the traced run's metrics with only a note on stderr, so a rename or
+removal has to fail here instead.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from depthrank import RankedSample, metrics, trainer
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_timed_name_resolves(tracing):
+    for mod_name, path, label in tracing.TIMED:
+        module = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
+        assert callable(tracing._resolve(module, path)[2]), label
+
+
+def test_eval_context_keeps_empty_pair_tuples(tracing):
+    samples = [
+        RankedSample(id=f"s{k}", items=np.eye(3), gt_scores=[3.0, 1.0, 2.0 + k])
+        for k in range(2)
+    ]
+    ctx = trainer._make_eval_context(samples)
+    for name in ("pair_i", "pair_j", "pair_r"):
+        value = getattr(ctx, name)
+        assert isinstance(value, tuple)
+        assert all(isinstance(a, np.ndarray) for a in value)
+    assert tracing._eval_context_mb((), {}, ctx) == 0.0
+
+
+def test_counted_pairs_are_json_ints(tracing):
+    samples = [RankedSample(id="s", items=np.eye(3), gt_scores=[3.0, 1.0, 2.0])]
+    report = metrics.evaluate(samples, [np.array([1.0, 2.0, 3.0])])
+    assert type(report.n_pairs) is int
+    counter, _, amount = tracing.COUNTED["metrics.evaluate"]
+    assert json.loads(json.dumps({counter: amount((), {}, report)})) == {counter: 3}

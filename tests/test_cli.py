@@ -141,6 +141,34 @@ class TestTrainCommand:
         # different generator seeds: the same scorer cannot score both identically
         assert train_whdr[0].split("=")[1] != eval_whdr[0].split("=")[1]
 
+    def test_training_set_evaluated_once(self, tmp_path, monkeypatch):
+        # without --eval-data the eval split reuses the train split's report;
+        # passing the training file as --eval-data gives the same bytes
+        import depthrank.metrics
+
+        data = gen(tmp_path)
+        calls = []
+        evaluate = depthrank.metrics.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(depthrank.metrics, "evaluate", counting)
+        reports, counts = [], []
+        for extra in ([], ["--eval-data", str(data)]):
+            calls.clear()
+            report_path = tmp_path / f"r{len(reports)}.txt"
+            assert run(
+                "train", "--data", str(data), "--loss", "listmle", "--epochs", "2",
+                "--seed", "3", "--out-params", str(tmp_path / "p.txt"),
+                "--out-report", str(report_path), *extra,
+            ) == EXIT_OK
+            reports.append(report_path.read_bytes())
+            counts.append(len(calls))
+        assert counts == [1, 2]
+        assert reports[0] == reports[1]
+
 
 class TestEvalCommand:
     def test_hidden_scorer_is_perfect(self, tmp_path, capsys):
@@ -177,6 +205,33 @@ class TestEvalCommand:
         )
         assert code == EXIT_OK
         assert "metrics.eval.whdr=1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_invalid_pred_tie_threshold_is_usage_error(self, tmp_path, capsys, bad):
+        data = gen(tmp_path, n_samples=2, items=5)
+        params_path = tmp_path / "p.txt"
+        write_params(LinearScorer(w=np.ones(4), b=0.0), params_path)
+        capsys.readouterr()
+        code = run(
+            "eval", "--params", str(params_path), "--data", str(data),
+            "--pred-tie-threshold", bad,
+        )
+        assert code == EXIT_USAGE
+        assert "pred_tie_threshold" in capsys.readouterr().err
+
+    def test_negative_zero_pred_tie_threshold_is_zero(self, tmp_path):
+        data = gen(tmp_path, n_samples=2, items=5)
+        params_path = tmp_path / "p.txt"
+        write_params(LinearScorer(w=np.ones(4), b=0.0), params_path)
+        texts = []
+        for value in ("0", "-0.0"):
+            out = tmp_path / f"r{value}.txt"
+            assert run(
+                "eval", "--params", str(params_path), "--data", str(data),
+                "--pred-tie-threshold", value, "--out-report", str(out),
+            ) == EXIT_OK
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
     def test_dim_mismatch_is_usage_error(self, tmp_path, capsys):
         data = gen(tmp_path, dim=4)

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -22,6 +22,9 @@ from depthrank import (
 from depthrank.metrics import (
     FLAG_ALL_ZERO_GAIN,
     FLAG_DEGENERATE_PRED_TIES,
+    _ground_truth_of,
+    _rank_metrics,
+    _sample_map,
     evaluate,
 )
 
@@ -265,6 +268,144 @@ class TestEvaluate:
         from depthrank.metrics import _gt_pair_arrays
 
         s = sample_from_scores([3.0, 1.0, 1.0, -2.0])
-        i, j, r = _gt_pair_arrays(s, 0.0)
+        i, j, r = _gt_pair_arrays(s)
         pairs = pairs_from_permutation(s.gt_perm, s.gt_scores, 0.0)
         assert [(a, b, c) for a, b, c in zip(i, j, r)] == [(p.i, p.j, p.r) for p in pairs]
+
+
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+SCORES = st.one_of(TIED_VALUES, st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def ragged_batches(draw, max_n=12):
+    """1-5 samples of 2..max_n items; gt and pred values often tie."""
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(2, max_n))
+        gt = draw(st.lists(SCORES, min_size=n, max_size=n))
+        pred = draw(st.lists(SCORES, min_size=n, max_size=n))
+        batch.append((np.array(gt), np.array(pred)))
+    return batch
+
+
+def kernel(batch):
+    """(misordered pairs, per-sample MAPs) from the vectorised kernel."""
+    gt = _ground_truth_of([g for g, _ in batch])
+    return _rank_metrics(gt, np.concatenate([p for _, p in batch]))
+
+
+def gt_rank(gt):
+    """1-based ranks: descending scores, ascending-index tie-break."""
+    rank = np.empty(len(gt), dtype=np.int64)
+    rank[sorted(range(len(gt)), key=lambda i: -gt[i])] = np.arange(1, len(gt) + 1)
+    return rank
+
+
+class TestRankKernel:
+    def check(self, batch):
+        wrong, maps = kernel(batch)
+        assert wrong == sum(oracles.dense_whdr_counts(g, p)[0] for g, p in batch)
+        assert maps.shape == (len(batch),)
+        for (g, p), got in zip(batch, maps):
+            assert 0.0 <= got <= 1.0
+            assert got == pytest.approx(oracles.dense_sample_map(gt_rank(g), p), abs=1e-12)
+            order = sorted(range(len(g)), key=lambda i: -g[i])
+            assert got == pytest.approx(oracles.map_cuts(order, list(p)), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_batches())
+    def test_matches_dense_oracles_on_ragged_batches(self, batch):
+        self.check(batch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_batches(max_n=3))
+    def test_matches_dense_oracles_on_tiny_lists(self, batch):
+        self.check(batch)
+
+    def test_every_order_of_two_and_three_items(self):
+        for n in (2, 3):
+            values = [np.array(v) for v in product([0.0, 1.0, 2.0], repeat=n)]
+            self.check([(g, p) for g in values for p in values])
+
+    def test_all_equal_scores(self):
+        batch = [(np.full(n, 3.0), np.full(n, -1.0)) for n in (2, 5, 17)]
+        wrong, maps = kernel(batch)
+        assert wrong == 0
+        self.check(batch)
+
+    def test_signed_zeros_tie(self):
+        batch = [(np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, 0.0]))]
+        assert kernel(batch)[0] == oracles.dense_whdr_counts(*batch[0])[0] == 2
+        self.check(batch)
+
+    def test_evaluate_matches_pooled_oracle_counts(self):
+        rng = SplitMix64(80)
+        samples, preds = [], []
+        for n in (2, 3, 9, 40):
+            gt = np.floor(3.0 * rng.uniforms(n))
+            samples.append(sample_from_scores(gt))
+            preds.append(np.floor(2.0 * rng.uniforms(n)))
+        for t in (0.0, 0.5):
+            counts = [oracles.dense_whdr_counts(s.gt_scores, p, t) for s, p in zip(samples, preds)]
+            report = evaluate(samples, preds, pred_tie_threshold=t)
+            assert report.n_pairs == sum(c[1] for c in counts)
+            assert report.whdr == sum(c[0] for c in counts) / report.n_pairs
+
+    def test_evaluate_spans_several_kernel_calls(self):
+        rng = SplitMix64(83)
+        samples, preds = [], []
+        for n in (700, 2, 900, 1500, 3, 1200, 800):  # 5105 items
+            samples.append(sample_from_scores(np.floor(40.0 * rng.uniforms(n)), dim=1))
+            preds.append(np.floor(30.0 * rng.uniforms(n)))
+        report = evaluate(samples, preds)
+        counts = [oracles.dense_whdr_counts(s.gt_scores, p) for s, p in zip(samples, preds)]
+        assert report.n_pairs == sum(c[1] for c in counts)
+        assert report.whdr == sum(c[0] for c in counts) / report.n_pairs
+        maps = [oracles.dense_sample_map(gt_rank(s.gt_scores), p) for s, p in zip(samples, preds)]
+        assert report.map == pytest.approx(sum(maps) / len(maps), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 4097])
+    def test_perfect_ranking_map_stays_in_unit_interval(self, n):
+        gt = np.arange(n, 0, -1, dtype=np.float64)
+        got = _sample_map(permutation_from_scores(gt), gt)
+        assert got <= 1.0
+        assert got == pytest.approx(1.0, abs=1e-12)
+        report = evaluate([sample_from_scores(gt)], [gt])
+        assert report.map <= 1.0 and report.whdr == 0.0
+
+    def test_long_list_runs_in_linear_memory(self):
+        import tracemalloc
+
+        n = 100_000
+        gt = SplitMix64(81).normals(n)
+        sample = RankedSample(id="long", items=np.zeros((n, 1)), gt_scores=gt)
+        pred = gt + SplitMix64(82).normals(n)
+        tracemalloc.start()
+        try:
+            report = evaluate([sample], [pred])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_pairs == n * (n - 1) // 2
+        assert 0.0 < report.whdr < 0.5
+        assert peak < 100 * 2**20
+
+
+class TestTieThreshold:
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejected_by_whdr_and_evaluate(self, bad):
+        samples = [sample_from_scores([3.0, 2.0, 1.0])]
+        pairs = pairs_from_permutation(samples[0].gt_perm, samples[0].gt_scores)
+        with pytest.raises(InvalidInputError):
+            whdr(pairs, [1.0, 2.0, 3.0], pred_tie_threshold=bad)
+        with pytest.raises(InvalidInputError):
+            evaluate(samples, [np.array([1.0, 2.0, 3.0])], pred_tie_threshold=bad)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_accepted(self, zero):
+        samples = [sample_from_scores([3.0, 2.0, 1.0])]
+        pred = [np.array([1.0, 1.0, 3.0])]
+        pairs = pairs_from_permutation(samples[0].gt_perm, samples[0].gt_scores)
+        assert whdr(pairs, pred[0], pred_tie_threshold=zero) == whdr(pairs, pred[0])
+        assert evaluate(samples, pred, pred_tie_threshold=zero) == evaluate(samples, pred)
