@@ -6,8 +6,6 @@ from .core import (
     Permutation,
     RankedSample,
     as_score_vector,
-    invert,
-    ordinal_label,
     pairs_from_permutation,
     permutation_from_scores,
 )
@@ -17,7 +15,6 @@ from .data import (
     generate_synthetic,
     normalize_relevance,
     read_dataset,
-    sample_pairs,
     sample_points,
     write_dataset,
 )
@@ -31,8 +28,6 @@ from .errors import (
 from .losses import (
     LossResult,
     WeightConfig,
-    discount,
-    gain,
     listmle_loss,
     listnet_loss,
     pairwise_loss,

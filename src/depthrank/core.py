@@ -1,10 +1,13 @@
-"""Domain types and permutation algebra shared by every other module.
+"""Domain types, permutations and ordinal pair labels shared by every
+other module.
 
 A *sample* is one ranking query: a list of items (feature vectors) with
 ground-truth relevance scores, where a higher score means the item should
 be ranked closer to the top.  Predicted scores are plain float64 arrays
 validated through :func:`as_score_vector`.  Ranks are 1-based in the
-public contract; item indices are 0-based.
+public contract; item indices are 0-based.  :func:`label_pairs` is the one
+place a score difference becomes an ordinal label (+1, -1 or 0), for the
+ground truth and for predictions alike.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -12,9 +15,7 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,12 +41,20 @@ def as_score_vector(values, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def ordinal_label(s_i: float, s_j: float, tie_threshold: float = 0.0) -> int:
-    """Ordinal label for a score pair: +1 if item i ranks higher, -1 if item
-    j does, 0 when the scores differ by at most ``tie_threshold``."""
-    if abs(s_i - s_j) <= tie_threshold:
-        return 0
-    return 1 if s_i > s_j else -1
+def label_pairs(scores: np.ndarray, i, j, tie_threshold: float = 0.0) -> np.ndarray:
+    """Ordinal labels of index pairs as int64: +1 where item ``i`` scores
+    higher, -1 where item ``j`` does, 0 where the scores differ by at most
+    ``tie_threshold``.  ``i`` and ``j`` may be any index arrays that
+    broadcast against each other."""
+    d = scores[i] - scores[j]
+    return (d > tie_threshold).astype(np.int64) - (d < -tie_threshold)
+
+
+def all_pairs(gt_scores: np.ndarray):
+    """(i, j, r) for every index pair i < j of a sample in row-major order,
+    labelled from its ground-truth scores (equal scores tie)."""
+    i, j = np.triu_indices(gt_scores.size, k=1)
+    return i.astype(np.intp), j.astype(np.intp), label_pairs(gt_scores, i, j)
 
 
 @dataclass(frozen=True)
@@ -53,49 +62,51 @@ class Permutation:
     """A total order over item indices; ``order[0]`` is the top-ranked item.
 
     ``inverse`` maps each item index to its 1-based rank, so
-    ``inverse[order[p]] == p + 1`` for every position ``p``.
+    ``inverse[order[p]] == p + 1`` for every position ``p``.  Both are
+    tuples; ``order_array`` and ``inverse_array`` hold the same values as
+    read-only intp arrays.
     """
 
     order: tuple[int, ...]
     inverse: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    order_array: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            order = tuple(operator.index(x) for x in self.order)
-        except TypeError as exc:
+            values = self.order if isinstance(self.order, np.ndarray) else tuple(self.order)
+            arr = np.asarray(values)
+        except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"permutation entries must be integers: {exc}") from exc
-        object.__setattr__(self, "order", order)
-        n = len(order)
-        if n < 1:
+        n = arr.size
+        if arr.ndim == 1 and n < 1:
             raise InvalidInputError("permutation must cover at least one item")
-        inverse = [0] * n
-        seen = 0
-        for pos, item in enumerate(order):
-            if item < 0 or item >= n:
-                raise InvalidInputError(
-                    f"permutation entries must be integers in [0, {n}): {item!r}"
-                )
-            if inverse[item] == 0:
-                seen += 1
-            inverse[item] = pos + 1
-        if seen != n:
+        kind = arr.dtype.kind
+        if kind == "b" and n <= 2:
+            # Python bools are ints, numpy bools are not; bool entries can
+            # only form a permutation of at most two items.
+            kind = "i" if type(values[0]) is type(values[-1]) is bool else kind
+        if arr.ndim != 1 or kind not in "iu":
+            raise InvalidInputError(
+                f"permutation entries must be integers, got {arr.dtype} of shape {arr.shape}"
+            )
+        order = np.array(arr, dtype=np.intp)
+        if order.view(np.uintp).max() >= n:  # negative entries wrap to huge ones
+            item = arr[(arr < 0) | (arr >= n)][0].item()
+            raise InvalidInputError(f"permutation entries must be integers in [0, {n}): {item!r}")
+        inverse = np.zeros(n, dtype=np.intp)
+        inverse[order] = np.arange(1, n + 1)
+        if np.count_nonzero(inverse) != n:
             raise InvalidInputError("permutation must be a bijection (duplicate index)")
-        object.__setattr__(self, "inverse", tuple(inverse))
+        order.flags.writeable = False
+        inverse.flags.writeable = False
+        object.__setattr__(self, "order", tuple(order.tolist()))
+        object.__setattr__(self, "inverse", tuple(inverse.tolist()))
+        object.__setattr__(self, "order_array", order)
+        object.__setattr__(self, "inverse_array", inverse)
 
     def __len__(self) -> int:
         return len(self.order)
-
-    @cached_property
-    def order_array(self) -> np.ndarray:
-        arr = np.asarray(self.order, dtype=np.intp)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def inverse_array(self) -> np.ndarray:
-        arr = np.asarray(self.inverse, dtype=np.intp)
-        arr.flags.writeable = False
-        return arr
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,34 +181,20 @@ def permutation_from_scores(scores) -> Permutation:
     """Ranking induced by scores: non-increasing order, stable ascending-index
     tie-break."""
     arr = as_score_vector(scores)
-    order = np.argsort(-arr, kind="stable")
-    return Permutation(tuple(int(p) for p in order))
+    return Permutation(np.argsort(-arr, kind="stable"))
 
 
-def invert(perm: Permutation) -> tuple[int, ...]:
-    """Rank-of-item view: ``invert(perm)[item]`` is the 1-based rank of ``item``."""
-    return perm.inverse
-
-
-def pairs_from_permutation(
-    perm: Permutation, gt_scores, tie_threshold: float = 0.0
-) -> list[OrdinalPair]:
+def pairs_from_permutation(perm: Permutation, gt_scores) -> list[OrdinalPair]:
     """All unordered index pairs of a sample as labeled :class:`OrdinalPair`.
 
-    Pairs are emitted in (low index, high index) orientation; the label
-    follows :func:`ordinal_label` on the ground-truth scores.
+    Pairs are emitted in (low index, high index) orientation, labelled by
+    :func:`all_pairs` from the ground-truth scores.
     """
     scores = as_score_vector(gt_scores, n=len(perm))
-    n = scores.size
-    if n < 2:
+    if scores.size < 2:
         raise InvalidInputError("need at least two items to form pairs")
-    if tie_threshold < 0:
-        raise InvalidInputError(f"tie_threshold must be >= 0: {tie_threshold}")
-    pairs = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            pairs.append(OrdinalPair(i, j, ordinal_label(scores[i], scores[j], tie_threshold)))
-    return pairs
+    i, j, r = all_pairs(scores)
+    return [OrdinalPair(*p) for p in zip(i.tolist(), j.tolist(), r.tolist())]
 
 
 def pair_arrays(pairs: Sequence[OrdinalPair] | Iterable[OrdinalPair]):

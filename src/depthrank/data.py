@@ -1,4 +1,5 @@
-"""Synthetic ordinal-depth datasets, sampling strategies, and dataset I/O.
+"""Synthetic ordinal-depth datasets, point and pair sampling, and the
+hex-float text I/O shared by dataset and params files.
 
 A synthetic dataset is a desk-scale stand-in for large ordinal-depth
 corpora: each sample holds ``items_per_sample`` feature vectors drawn
@@ -14,7 +15,9 @@ File format (``depthrank.dataset.v1``) — line-delimited text:
     <id> <n> <d> <n*d feature hex-floats> <n raw-score hex-floats>
     ...                                   (exactly m sample lines)
 
-Floats are encoded with ``float.hex`` so round-trips are bit-exact.
+Floats are encoded with ``float.hex`` so round-trips are bit-exact.  The
+params files of :mod:`depthrank.trainer` use the same encoding and the
+same header reader.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import OrdinalPair, RankedSample, as_score_vector, ordinal_label
+from .core import RankedSample, as_score_vector, label_pairs
 from .errors import DatasetFormatError, DatasetVersionError, InvalidInputError
 from .rng import SplitMix64
 
@@ -49,12 +52,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidInputError(f"n_samples must be >= 1: {self.n_samples}")
-        if self.items_per_sample < 1:
-            raise InvalidInputError(f"items_per_sample must be >= 1: {self.items_per_sample}")
-        if self.feature_dim < 1:
-            raise InvalidInputError(f"feature_dim must be >= 1: {self.feature_dim}")
+        for name in ("n_samples", "items_per_sample", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1: {getattr(self, name)}")
         if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
             raise InvalidInputError(f"noise_sigma must be finite and >= 0: {self.noise_sigma}")
         if self.scorer_family not in (FAMILY_LINEAR, FAMILY_MLP):
@@ -197,38 +197,23 @@ def sample_points(sample: RankedSample, k: int, rng: SplitMix64) -> np.ndarray:
     return pool[:k]
 
 
-def sample_pair_arrays(
-    gt_scores: np.ndarray, k: int, tie_threshold: float, rng: SplitMix64
-):
-    """Vectorized pair sampling: (i, j, r) arrays for k pairs.
+def sample_pair_arrays(gt_scores: np.ndarray, k: int, rng: SplitMix64):
+    """k labeled pairs as (i, j, r) arrays, labels from the ground-truth
+    scores (equal scores tie).
 
-    Pairs are drawn with replacement across pairs; indices within a pair
-    are always distinct.  This is the fast path behind
-    :func:`sample_pairs` and the pairwise trainer.
+    Pairs are drawn uniformly with replacement across pairs; indices within
+    a pair are always distinct.  Consumes exactly 2k draws.
     """
     n = gt_scores.size
     if n < 2:
         raise InvalidInputError("need at least two items to sample pairs")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1: {k}")
-    if tie_threshold < 0:
-        raise InvalidInputError(f"tie_threshold must be >= 0: {tie_threshold}")
     u = rng.u64_block(k) % np.uint64(n)
     v = rng.u64_block(k) % np.uint64(n - 1)
     i = u.astype(np.intp)
     j = ((u + v + np.uint64(1)) % np.uint64(n)).astype(np.intp)
-    d = gt_scores[i] - gt_scores[j]
-    r = np.where(np.abs(d) <= tie_threshold, 0, np.where(d > 0, 1, -1)).astype(np.int64)
-    return i, j, r
-
-
-def sample_pairs(
-    sample: RankedSample, k: int, tie_threshold: float, rng: SplitMix64
-) -> list[OrdinalPair]:
-    """k labeled pairs of distinct indices, uniform with replacement across
-    pairs, labels from the ground-truth scores at ``tie_threshold``."""
-    i, j, r = sample_pair_arrays(sample.gt_scores, k, tie_threshold, rng)
-    return [OrdinalPair(int(a), int(b), int(c)) for a, b, c in zip(i, j, r)]
+    return i, j, label_pairs(gt_scores, i, j)
 
 
 def _meta_json(meta: dict) -> str:
@@ -249,6 +234,11 @@ def write_dataset(ds: Dataset, path: str | os.PathLike) -> None:
         tokens += _hex_list(s.items)
         tokens += _hex_list(s.gt_scores)
         lines.append(" ".join(tokens))
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str | os.PathLike, lines: list[str]) -> None:
+    """Write ASCII text lines, each ending in a newline."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -260,24 +250,34 @@ def _parse_floats(tokens: Iterable[str], line_no: int) -> np.ndarray:
         raise DatasetFormatError(f"bad float token: {exc}", line=line_no) from exc
 
 
-def read_dataset(path: str | os.PathLike) -> Dataset:
-    """Parse a dataset file, validating structure, finiteness, and counts."""
+def _read_text(path: str | os.PathLike, fmt: str, parse_header: Callable[[dict], tuple],
+               maxsplit: int = -1) -> tuple[list[str], tuple]:
+    """The lines of a text file whose first line is ``<fmt> key=value ...``,
+    and ``parse_header`` applied to its ``key=value`` fields.
+
+    The header is split at spaces, at most ``maxsplit`` times.  A missing
+    or unparsable field is a :class:`DatasetFormatError` at line 1.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DatasetFormatError("empty file", line=1)
-    header = lines[0].split(" ", 3)
-    if header[0] != DATASET_FORMAT:
-        raise DatasetVersionError(
-            f"unsupported format {header[0]!r}, expected {DATASET_FORMAT!r}", line=1
-        )
+    header = lines[0].split(" ", maxsplit)
+    if header[0] != fmt:
+        raise DatasetVersionError(f"unsupported format {header[0]!r}, expected {fmt!r}", line=1)
     try:
-        fields = dict(part.split("=", 1) for part in header[1:])
-        dim = int(fields["dim"])
-        count = int(fields["samples"])
-        meta = json.loads(fields["meta"])
+        return lines, parse_header(dict(part.split("=", 1) for part in header[1:]))
     except (KeyError, ValueError) as exc:
         raise DatasetFormatError(f"malformed header: {exc}", line=1) from exc
+
+
+def _dataset_header(fields: dict):
+    return int(fields["dim"]), int(fields["samples"]), json.loads(fields["meta"])
+
+
+def read_dataset(path: str | os.PathLike) -> Dataset:
+    """Parse a dataset file, validating structure, finiteness, and counts."""
+    lines, (dim, count, meta) = _read_text(path, DATASET_FORMAT, _dataset_header, maxsplit=3)
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count:
         raise DatasetFormatError(

@@ -21,6 +21,7 @@ against central finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,30 +106,25 @@ def suffix_logsumexp(values) -> np.ndarray:
     return np.ascontiguousarray(np.logaddexp.accumulate(v[::-1])[::-1])
 
 
-def gain(s: float, kind: str = GAIN_TWO_POW_MINUS_ONE) -> float:
-    """Relevance gain G(s) = 2^s - 1 (or identically 1)."""
-    if kind == GAIN_IDENTITY_ONE:
-        return 1.0
-    if kind != GAIN_TWO_POW_MINUS_ONE:
-        raise InvalidInputError(f"unknown gain kind {kind!r}")
-    if not math.isfinite(s):
-        raise InvalidInputError(f"gain input must be finite: {s!r}")
-    if s > MAX_GAIN_INPUT:
-        raise InvalidInputError(f"gain input {s} exceeds supported range (max {MAX_GAIN_INPUT})")
-    return float(np.exp2(s)) - 1.0
+def _gains(s: np.ndarray) -> np.ndarray:
+    """Relevance gains G(s) = 2^s - 1 for graded relevance in [0, MAX_GAIN_INPUT]."""
+    if s.size and s.max() > MAX_GAIN_INPUT:
+        raise InvalidInputError(
+            f"gain input {s.max()} exceeds supported range (max {MAX_GAIN_INPUT})"
+        )
+    if s.size and s.min() < 0.0:
+        # A negative relevance would make the weight negative and the
+        # gradient undefined; relevance must be normalized to >= 0 first.
+        raise InvalidInputError(f"gain input must be >= 0: {s.min()}")
+    return np.exp2(s) - 1.0
 
 
-def discount(pos: int, kind: str = DISCOUNT_INVERSE_LOG, log_base: float = 2.0) -> float:
-    """Rank discount D(pos) = 1 / log_base(pos + 1) for a 1-based rank."""
-    if pos < 1:
-        raise InvalidInputError(f"rank position must be >= 1: {pos}")
-    if kind == DISCOUNT_IDENTITY_ONE:
-        return 1.0
-    if kind != DISCOUNT_INVERSE_LOG:
-        raise InvalidInputError(f"unknown discount kind {kind!r}")
-    if not log_base > 1.0:
-        raise InvalidInputError(f"log_base must be > 1: {log_base}")
-    return math.log(log_base) / math.log(pos + 1)
+@functools.lru_cache(maxsize=256)  # NDCG and the weighted loss ask for every sample
+def _discounts(n: int, log_base: float = 2.0) -> np.ndarray:
+    """Read-only rank discounts D(p) = 1 / log_base(p + 1) for ranks p = 1..n."""
+    out = math.log(log_base) / np.log(np.arange(2, n + 2, dtype=np.float64))
+    out.flags.writeable = False
+    return out
 
 
 def position_weights(cfg: WeightConfig, gt_scores_by_rank: np.ndarray) -> np.ndarray:
@@ -138,24 +134,10 @@ def position_weights(cfg: WeightConfig, gt_scores_by_rank: np.ndarray) -> np.nda
     ranking (rank 1 first).
     """
     s = np.asarray(gt_scores_by_rank, dtype=np.float64)
-    n = s.size
-    if cfg.gain == GAIN_IDENTITY_ONE:
-        gains = np.ones(n)
-    else:
-        if s.size and s.max() > MAX_GAIN_INPUT:
-            raise InvalidInputError(
-                f"gain input {s.max()} exceeds supported range (max {MAX_GAIN_INPUT})"
-            )
-        if s.size and s.min() < 0.0:
-            # A negative relevance would make the weight negative and the
-            # gradient undefined; relevance must be normalized to >= 0 first.
-            raise InvalidInputError(f"gain input must be >= 0 for weighting: {s.min()}")
-        gains = np.exp2(s) - 1.0
+    gains = np.ones(s.size) if cfg.gain == GAIN_IDENTITY_ONE else _gains(s)
     if cfg.discount == DISCOUNT_IDENTITY_ONE:
-        discounts = np.ones(n)
-    else:
-        discounts = math.log(cfg.log_base) / np.log(np.arange(2, n + 2, dtype=np.float64))
-    return gains * discounts
+        return gains
+    return gains * _discounts(s.size, cfg.log_base)
 
 
 def pairwise_loss(z_i: float, z_j: float, r: int) -> LossResult:
@@ -167,14 +149,10 @@ def pairwise_loss(z_i: float, z_j: float, r: int) -> LossResult:
     """
     if not (math.isfinite(z_i) and math.isfinite(z_j)):
         raise InvalidInputError(f"scores must be finite: ({z_i!r}, {z_j!r})")
-    if r == 1:
-        d = z_j - z_i
+    if r in (1, -1):
+        d = r * (z_j - z_i)  # the wrongly-signed difference; exact, as -(a - b) == b - a
         s = float(sigmoid(d))
-        return LossResult(float(softplus(d)), np.array([-s, s]))
-    if r == -1:
-        d = z_i - z_j
-        s = float(sigmoid(d))
-        return LossResult(float(softplus(d)), np.array([s, -s]))
+        return LossResult(float(softplus(d)), np.array([-r * s, r * s]))
     if r == 0:
         d = z_i - z_j
         return LossResult(d * d, np.array([2.0 * d, -2.0 * d]))

@@ -1,11 +1,12 @@
 """Evaluation metrics: WHDR, average precision, MAP, and NDCG.
 
 WHDR is the fraction of annotated ordinal pairs whose predicted order
-contradicts the label (lower is better).  MAP binarizes the ground-truth
+contradicts the label (lower is better); both sides are labelled by
+:func:`~depthrank.core.label_pairs`.  MAP binarizes the ground-truth
 ranking at every cut point 1..n-1, scores each cut with average
 precision over the predicted order, and averages over cuts and then over
-samples.  NDCG serves as a cross-check metric with the same gain/discount
-family the weighted loss uses.
+samples.  NDCG serves as a cross-check metric with the gain and discount
+formulas the weighted loss uses (base 2).
 
 All metrics depend on predictions only through the induced order (plus
 tie structure), so they are invariant under strictly increasing
@@ -15,8 +16,9 @@ Cost: :func:`evaluate` scores WHDR (at ``pred_tie_threshold == 0``) and
 MAP over all cuts with a sort-based kernel over concatenated samples, a
 few thousand items per call, in O(N log N) time and O(N) memory for N
 items in total; no pair array or cut matrix is built.  WHDR at
-``pred_tie_threshold > 0`` falls back to labelling every index pair of a
-sample, which costs O(n^2) time and memory per sample of n items.
+``pred_tie_threshold > 0`` labels every index pair of a sample, a block
+of rows of the pair triangle at a time: O(n^2) time and O(n) memory per
+sample of n items.
 """
 
 from __future__ import annotations
@@ -32,16 +34,21 @@ from .core import (
     Permutation,
     RankedSample,
     as_score_vector,
+    label_pairs,
     pair_arrays,
 )
 from .data import normalize_relevance
 from .errors import InvalidInputError
+from .losses import _discounts, _gains
 
 FLAG_DEGENERATE_PRED_TIES = "degenerate-pred-ties"
 FLAG_ALL_ZERO_GAIN = "all-zero-gain"
 
 # Items per rank-kernel call in `evaluate`, rounded up to whole samples.
 _KERNEL_ITEMS = 4096
+# Rows of a sample's pair triangle labelled at once for WHDR at a nonzero
+# prediction tie threshold.
+_PAIR_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,7 @@ def whdr_from_arrays(
     pred_tie_threshold: float = 0.0,
 ) -> tuple[int, int]:
     """(#misordered pairs, #pairs) for pre-split pair arrays."""
-    d = pred_scores[i] - pred_scores[j]
-    pred = (d > pred_tie_threshold).astype(np.int64) - (d < -pred_tie_threshold)
+    pred = label_pairs(pred_scores, i, j, pred_tie_threshold)
     return int(np.count_nonzero(pred != r)), int(r.size)
 
 
@@ -146,9 +152,9 @@ def mean_average_precision(samples: Sequence[tuple[Permutation, object]]) -> flo
     return math.fsum(per_sample) / len(per_sample)
 
 
-def ndcg(gt_scores, pred_scores, log_base: float = 2.0) -> float:
+def ndcg(gt_scores, pred_scores) -> float:
     """DCG of the predicted order over the ideal DCG, with gain 2^s - 1 and
-    discount 1/log_base(pos + 1).
+    discount 1/log2(pos + 1), the weights of the weighted ListMLE loss.
 
     Ground-truth scores must be non-negative graded relevance.  When every
     gain is zero the ideal DCG vanishes and the metric is defined as 1.0
@@ -156,16 +162,10 @@ def ndcg(gt_scores, pred_scores, log_base: float = 2.0) -> float:
     """
     s = as_score_vector(gt_scores)
     z = as_score_vector(pred_scores, n=s.size)
-    if not log_base > 1.0:
-        raise InvalidInputError(f"log_base must be > 1: {log_base}")
-    if s.min() < 0.0:
-        raise InvalidInputError(f"relevance must be >= 0 for NDCG: {s.min()}")
-    if s.max() > 60.0:
-        raise InvalidInputError(f"relevance too large for 2^s gain: {s.max()}")
-    gains = np.exp2(s) - 1.0
+    gains = _gains(s)
     if gains.max() == 0.0:
         return 1.0
-    disc = math.log(log_base) / np.log(np.arange(2, s.size + 2, dtype=np.float64))
+    disc = _discounts(s.size)
     pred_order = np.argsort(-z, kind="stable")
     dcg = math.fsum((gains[pred_order] * disc).tolist())
     ideal = math.fsum((np.sort(gains)[::-1] * disc).tolist())
@@ -176,7 +176,6 @@ def evaluate(
     samples: Sequence[RankedSample],
     predictions: Sequence[np.ndarray],
     pred_tie_threshold: float = 0.0,
-    log_base: float = 2.0,
 ) -> MetricReport:
     """Score predictions for a list of samples into one :class:`MetricReport`.
 
@@ -201,7 +200,7 @@ def evaluate(
             flags.add(FLAG_ALL_ZERO_GAIN)
         if z.max() == z.min():
             flags.add(FLAG_DEGENERATE_PRED_TIES)
-        ndcgs.append(ndcg(rel, z, log_base))
+        ndcgs.append(ndcg(rel, z))
         preds.append(z)
     # Runs of consecutive samples per kernel call bound its scratch memory.
     sizes = np.array([s.n for s in samples])
@@ -216,8 +215,7 @@ def evaluate(
         maps.extend(m.tolist())
     if threshold > 0.0:
         # "Within the threshold" is not transitive, so no sort can count it.
-        wrong = sum(whdr_from_arrays(*_gt_pair_arrays(s), z, threshold)[0]
-                    for s, z in zip(samples, preds))
+        wrong = sum(_misordered_within(s.gt_scores, z, threshold) for s, z in zip(samples, preds))
     return MetricReport(
         whdr=wrong / pairs,
         map=math.fsum(maps) / len(maps),
@@ -228,11 +226,18 @@ def evaluate(
     )
 
 
-def _gt_pair_arrays(sample: RankedSample):
-    """Every index pair of a sample, labeled from its ground-truth scores."""
-    i, j = np.triu_indices(sample.n, k=1)
-    r = np.sign(sample.gt_scores[i] - sample.gt_scores[j])
-    return i.astype(np.intp), j.astype(np.intp), r.astype(np.int64)
+def _misordered_within(gt: np.ndarray, z: np.ndarray, threshold: float) -> int:
+    """Misordered index pairs of one sample when predictions tie within
+    ``threshold``, labelled ``_PAIR_ROWS`` rows of the upper pair triangle
+    at a time, so memory stays O(n * _PAIR_ROWS)."""
+    n = gt.size
+    wrong = 0
+    for lo in range(0, n - 1, _PAIR_ROWS):
+        i = np.arange(lo, min(lo + _PAIR_ROWS, n - 1))[:, None]
+        j = np.arange(lo + 1, n)
+        differ = label_pairs(gt, i, j) != label_pairs(z, i, j, threshold)
+        wrong += int(np.count_nonzero(differ & (j > i)))
+    return wrong
 
 
 @dataclass(frozen=True)

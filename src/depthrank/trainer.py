@@ -12,7 +12,8 @@ subsampling, and MLP initialization all flow from one
 :class:`~depthrank.rng.SplitMix64` stream.
 
 Params file format (``depthrank.params.v1``) — line-delimited text with
-hex-float encoding, bit-exact on round-trip:
+the hex-float encoding and header reader of :mod:`depthrank.data`,
+bit-exact on round-trip:
 
     depthrank.params.v1 family=linear dim=<d>
     w <d hex-floats>
@@ -29,14 +30,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import losses
-from .core import RankedSample, permutation_from_scores
-from .data import Dataset, normalize_relevance, sample_pair_arrays, sample_points
-from .errors import (
-    DatasetFormatError,
-    DatasetVersionError,
-    InvalidInputError,
-    TrainingDivergedError,
+from .core import RankedSample, all_pairs, permutation_from_scores
+from .data import (
+    Dataset,
+    _hex_list,
+    _parse_floats,
+    _read_text,
+    _write_lines,
+    normalize_relevance,
+    sample_pair_arrays,
+    sample_points,
 )
+from .errors import DatasetFormatError, InvalidInputError, TrainingDivergedError
 from .losses import WeightConfig
 from .metrics import _GroundTruth, _ground_truth_of, _rank_metrics
 from .rng import SplitMix64
@@ -151,14 +156,9 @@ class TrainConfig:
             raise InvalidInputError(f"learning_rate must be > 0: {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise InvalidInputError(f"momentum must lie in [0, 1): {self.momentum}")
-        if self.epochs < 1:
-            raise InvalidInputError(f"epochs must be >= 1: {self.epochs}")
-        if self.batch < 1:
-            raise InvalidInputError(f"batch must be >= 1: {self.batch}")
-        if self.points_per_sample < 1:
-            raise InvalidInputError(f"points_per_sample must be >= 1: {self.points_per_sample}")
-        if self.pairs_per_sample < 1:
-            raise InvalidInputError(f"pairs_per_sample must be >= 1: {self.pairs_per_sample}")
+        for name in ("epochs", "batch", "points_per_sample", "pairs_per_sample"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1: {getattr(self, name)}")
         if self.scorer not in SCORER_FAMILIES:
             raise InvalidInputError(
                 f"unknown scorer {self.scorer!r}; expected one of {SCORER_FAMILIES}"
@@ -286,21 +286,16 @@ def make_listwise_target(
 def make_full_target(sample: RankedSample, cfg: TrainConfig):
     """Deterministic whole-sample target (used by gradient checks)."""
     if cfg.loss == LOSS_PAIRWISE:
-        n = sample.n
-        if n < 2:
+        if sample.n < 2:
             raise InvalidInputError("pairwise loss needs samples with >= 2 items")
-        i, j = np.triu_indices(n, k=1)
-        d = sample.gt_scores[i] - sample.gt_scores[j]
-        r = np.where(d == 0, 0, np.where(d > 0, 1, -1)).astype(np.int64)
-        return PairTarget(i=i.astype(np.intp), j=j.astype(np.intp), r=r)
+        return PairTarget(*all_pairs(sample.gt_scores))
     return make_listwise_target(sample, cfg, None)
 
 
 def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64):
     """Per-epoch stochastic target: point subset or pair sample."""
     if cfg.loss == LOSS_PAIRWISE:
-        i, j, r = sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, 0.0, rng)
-        return PairTarget(i=i, j=j, r=r)
+        return PairTarget(*sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, rng))
     k = min(cfg.points_per_sample, sample.n)
     return make_listwise_target(sample, cfg, sample_points(sample, k, rng))
 
@@ -550,21 +545,16 @@ def gradcheck_cases(
 
 
 def write_params(params: ScorerParams, path) -> None:
-    lines = []
     if isinstance(params, LinearScorer):
-        lines.append(f"{PARAMS_FORMAT} family={SCORER_LINEAR} dim={params.dim}")
-        lines.append("w " + " ".join(float(x).hex() for x in params.w))
-        lines.append("b " + float(params.b).hex())
+        header = f"{PARAMS_FORMAT} family={SCORER_LINEAR} dim={params.dim}"
+        records = [("w", params.w), ("b", params.b)]
     else:
-        lines.append(
-            f"{PARAMS_FORMAT} family={SCORER_MLP} dim={params.dim} hidden={params.hidden}"
-        )
-        lines.append("w_hidden " + " ".join(float(x).hex() for x in params.w_hidden.ravel()))
-        lines.append("b_hidden " + " ".join(float(x).hex() for x in params.b_hidden))
-        lines.append("w_out " + " ".join(float(x).hex() for x in params.w_out))
-        lines.append("b_out " + float(params.b_out).hex())
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header = f"{PARAMS_FORMAT} family={SCORER_MLP} dim={params.dim} hidden={params.hidden}"
+        records = [("w_hidden", params.w_hidden), ("b_hidden", params.b_hidden),
+                   ("w_out", params.w_out), ("b_out", params.b_out)]
+    _write_lines(path, [header] + [
+        " ".join([name, *_hex_list(np.atleast_1d(value))]) for name, value in records
+    ])
 
 
 def _read_vector(lines: list[str], idx: int, name: str, count: int) -> np.ndarray:
@@ -576,37 +566,22 @@ def _read_vector(lines: list[str], idx: int, name: str, count: int) -> np.ndarra
             f"expected {name!r} with {count} values, got {tokens[0]!r} with {len(tokens) - 1}",
             line=idx + 1,
         )
-    try:
-        return np.array([float.fromhex(t) for t in tokens[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise DatasetFormatError(f"bad float token: {exc}", line=idx + 1) from exc
+    return _parse_floats(tokens[1:], idx + 1)
+
+
+def _params_header(fields: dict):
+    family = fields["family"]
+    dim = int(fields["dim"])
+    return family, dim, int(fields["hidden"]) if family == SCORER_MLP else 0
 
 
 def read_params(path) -> ScorerParams:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError("empty params file", line=1)
-    header = lines[0].split(" ")
-    if header[0] != PARAMS_FORMAT:
-        raise DatasetVersionError(
-            f"unsupported format {header[0]!r}, expected {PARAMS_FORMAT!r}", line=1
-        )
-    try:
-        fields = dict(part.split("=", 1) for part in header[1:])
-        family = fields["family"]
-        dim = int(fields["dim"])
-    except (KeyError, ValueError) as exc:
-        raise DatasetFormatError(f"malformed header: {exc}", line=1) from exc
+    lines, (family, dim, hidden) = _read_text(path, PARAMS_FORMAT, _params_header)
     if family == SCORER_LINEAR:
         w = _read_vector(lines, 1, "w", dim)
         b = _read_vector(lines, 2, "b", 1)
         return LinearScorer(w=w, b=float(b[0]))
     if family == SCORER_MLP:
-        try:
-            hidden = int(fields["hidden"])
-        except (KeyError, ValueError) as exc:
-            raise DatasetFormatError(f"malformed header: {exc}", line=1) from exc
         w_hidden = _read_vector(lines, 1, "w_hidden", hidden * dim).reshape(hidden, dim)
         b_hidden = _read_vector(lines, 2, "b_hidden", hidden)
         w_out = _read_vector(lines, 3, "w_out", hidden)

@@ -123,6 +123,24 @@ def dense_whdr_counts(gt_scores, pred_scores, pred_tie_threshold=0.0):
     return int(np.count_nonzero(got != r)), int(r.size)
 
 
+def ordinal_label(s_i, s_j, tie_threshold=0.0) -> int:
+    """+1 if the first score ranks higher, -1 if the second does, 0 when
+    they differ by at most ``tie_threshold``."""
+    if abs(s_i - s_j) <= tie_threshold:
+        return 0
+    return 1 if s_i > s_j else -1
+
+
+def gain(s) -> float:
+    """Relevance gain 2^s - 1."""
+    return 2.0 ** s - 1.0
+
+
+def discount(pos, log_base=2.0) -> float:
+    """Rank discount 1 / log_base(pos + 1) for a 1-based rank."""
+    return 1.0 / (math.log(pos + 1) / math.log(log_base))
+
+
 def plackett_luce_prob(perm_order, scores) -> float:
     """Naive Plackett-Luce probability: product of stepwise softmax terms."""
     remaining = list(range(len(scores)))

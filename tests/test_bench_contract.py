@@ -52,3 +52,29 @@ def test_counted_pairs_are_json_ints(tracing):
     assert type(report.n_pairs) is int
     counter, _, amount = tracing.COUNTED["metrics.evaluate"]
     assert json.loads(json.dumps({counter: amount((), {}, report)})) == {counter: 3}
+
+
+# The public names perfbench/run.py calls, by module.
+RUN_NAMES = {
+    "data": ["SyntheticSpec", "generate_synthetic"],
+    "trainer": ["TrainConfig", "train", "score", "params_to_vector", "read_params"],
+    "metrics": ["evaluate"],
+    "cli": ["main"],
+}
+
+
+def test_names_the_benchmark_runner_calls_resolve():
+    for mod_name, names in RUN_NAMES.items():
+        module = importlib.import_module(f"depthrank.{mod_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{mod_name}.{name}"
+
+
+def test_whdr_from_arrays_takes_four_positional_arguments():
+    gt = np.array([3.0, 1.0, 2.0, 2.0])
+    pred = np.array([1.0, 2.0, 3.0, 3.0])
+    i, j = np.triu_indices(gt.size, k=1)
+    r = np.sign(gt[i] - gt[j]).astype(np.int64)
+    # item 0 is ranked last but belongs first: its three pairs are wrong;
+    # (1, 2) and (1, 3) are right, and (2, 3) ties in both
+    assert metrics.whdr_from_arrays(i, j, r, pred) == (3, 6)

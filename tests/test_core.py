@@ -7,12 +7,12 @@ from depthrank import (
     InvalidInputError,
     OrdinalPair,
     Permutation,
-    invert,
     pairs_from_permutation,
     permutation_from_scores,
 )
-from depthrank.core import pair_arrays
+from depthrank.core import all_pairs, label_pairs, pair_arrays
 
+import oracles
 from oracles import stable_descending_sort
 
 finite_scores = st.lists(
@@ -54,7 +54,7 @@ class TestPermutationFromScores:
     @given(finite_scores)
     def test_roundtrip_inverse(self, scores):
         perm = permutation_from_scores(scores)
-        inv = invert(perm)
+        inv = perm.inverse
         for pos, item in enumerate(perm.order):
             assert inv[item] == pos + 1
 
@@ -115,6 +115,67 @@ class TestPermutation:
         perm = Permutation(tuple(np.argsort([3, 1, 2])))
         assert perm.order == (1, 2, 0)
 
+    def test_accepts_integer_arrays_and_lists(self):
+        for order in (np.array([2, 0, 1]), np.array([2, 0, 1], dtype=np.uint8), [2, 0, 1]):
+            assert Permutation(order).order == (2, 0, 1)
+
+    def test_python_bools_count_as_integers(self):
+        assert Permutation((True, False)).order == (1, 0)
+        assert Permutation((False,)).inverse == (1,)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            (0.0, 1.0),
+            np.array([1.0, 0.0]),
+            (0, np.float64(1.0)),
+            np.array([True, False]),
+            (np.True_, np.False_),
+            (True, True, False),
+            (),
+            np.array([], dtype=np.intp),
+            (0, 0, 1),
+            (0, 3, 1),
+            (-1, 0),
+            (2**70, 0),
+            np.array([0, 2**64 - 1], dtype=np.uint64),
+            np.array([[0, 1]]),
+            ((0, 1), 2),
+            (None,),
+            5,
+            "01",
+        ],
+        ids=repr,
+    )
+    def test_rejected_inputs(self, order):
+        with pytest.raises(InvalidInputError):
+            Permutation(order)
+
+    @settings(max_examples=200)
+    @given(st.permutations(range(30)).flatmap(
+        lambda p: st.integers(1, 30).map(lambda n: [x for x in p if x < n])
+    ))
+    def test_random_bijections(self, order):
+        perm = Permutation(tuple(order))
+        assert type(perm.order) is tuple and type(perm.inverse) is tuple
+        assert perm.order == tuple(order)
+        assert all(type(x) is int for x in perm.order + perm.inverse)
+        for pos, item in enumerate(order):
+            assert perm.inverse[item] == pos + 1
+        for arr, want in ((perm.order_array, perm.order), (perm.inverse_array, perm.inverse)):
+            assert arr.dtype == np.intp and not arr.flags.writeable
+            assert arr.tolist() == list(want)
+        assert perm == Permutation(np.array(order)) == Permutation(list(order))
+        assert hash(perm) == hash(Permutation(np.array(order)))
+        if len(order) > 1:
+            assert perm != Permutation(tuple(order[1:] + order[:1]))
+
+    def test_does_not_alias_the_caller_array(self):
+        order = np.array([1, 0])
+        perm = Permutation(order)
+        order[0] = 0
+        assert perm.order == (1, 0) and perm.order_array.tolist() == [1, 0]
+
 
 class TestOrdinalPair:
     def test_valid(self):
@@ -130,16 +191,16 @@ class TestOrdinalPair:
 class TestPairsFromPermutation:
     def test_two_items(self):
         perm = permutation_from_scores([2.0, 1.0])
-        assert pairs_from_permutation(perm, [2.0, 1.0], 0.0) == [OrdinalPair(0, 1, 1)]
+        assert pairs_from_permutation(perm, [2.0, 1.0]) == [OrdinalPair(0, 1, 1)]
 
     def test_exact_tie(self):
         perm = permutation_from_scores([1.0, 1.0])
-        assert pairs_from_permutation(perm, [1.0, 1.0], 0.0) == [OrdinalPair(0, 1, 0)]
+        assert pairs_from_permutation(perm, [1.0, 1.0]) == [OrdinalPair(0, 1, 0)]
 
     def test_three_items_brute_force(self):
         scores = [3.0, 2.0, 1.0]
         perm = permutation_from_scores(scores)
-        pairs = pairs_from_permutation(perm, scores, 0.0)
+        pairs = pairs_from_permutation(perm, scores)
         # brute-force enumeration of unordered pairs in (low, high) orientation
         expected = []
         for i in range(3):
@@ -148,15 +209,10 @@ class TestPairsFromPermutation:
         assert pairs == expected
         assert all(p.r == 1 for p in pairs)
 
-    def test_threshold_merges_close_scores(self):
-        perm = permutation_from_scores([1.0, 0.9])
-        (pair,) = pairs_from_permutation(perm, [1.0, 0.9], 0.2)
-        assert pair.r == 0
-
     def test_requires_two_items(self):
         perm = permutation_from_scores([1.0])
         with pytest.raises(InvalidInputError):
-            pairs_from_permutation(perm, [1.0], 0.0)
+            pairs_from_permutation(perm, [1.0])
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=12, unique=True))
@@ -164,8 +220,56 @@ class TestPairsFromPermutation:
         scores = [float(x) for x in int_scores]
         perm = permutation_from_scores(scores)
         rank = perm.inverse
-        for p in pairs_from_permutation(perm, scores, 0.0):
+        for p in pairs_from_permutation(perm, scores):
             assert p.r == (1 if rank[p.i] < rank[p.j] else -1)
+
+
+TIED_OR_ANY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestLabelPairs:
+    @settings(max_examples=200)
+    @given(
+        st.lists(TIED_OR_ANY, min_size=1, max_size=12),
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        st.data(),
+    )
+    def test_matches_scalar_oracle(self, scores, threshold, data):
+        s = np.array(scores)
+        n = s.size
+        idx = st.lists(st.integers(0, n - 1), min_size=1, max_size=6)
+        i = np.array(data.draw(idx))
+        j = np.array(data.draw(idx))
+        # a column against a row broadcasts to every combination
+        got = label_pairs(s, i[:, None], j[None, :], threshold)
+        assert got.dtype == np.int64 and got.shape == (i.size, j.size)
+        want = [[oracles.ordinal_label(scores[a], scores[b], threshold) for b in j] for a in i]
+        assert got.tolist() == want
+        flat = label_pairs(s, i[: min(i.size, j.size)], j[: min(i.size, j.size)], threshold)
+        assert flat.tolist() == [want[k][k] for k in range(flat.size)]
+
+    def test_signed_zeros_tie(self):
+        assert label_pairs(np.array([0.0, -0.0]), np.array([0]), np.array([1])).tolist() == [0]
+
+    def test_threshold_is_inclusive(self):
+        s = np.array([1.0, 0.5, 0.0])
+        assert label_pairs(s, 0, np.array([1, 2]), 0.5).tolist() == [0, 1]
+        assert label_pairs(s, np.array([1, 2]), 0, 0.5).tolist() == [0, -1]
+
+
+class TestAllPairs:
+    @settings(max_examples=50)
+    @given(st.lists(TIED_OR_ANY, min_size=1, max_size=10))
+    def test_every_pair_in_row_major_order(self, scores):
+        i, j, r = all_pairs(np.array(scores))
+        n = len(scores)
+        want = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert list(zip(i.tolist(), j.tolist())) == want
+        assert i.dtype == j.dtype == np.intp and r.dtype == np.int64
+        assert r.tolist() == [oracles.ordinal_label(scores[a], scores[b]) for a, b in want]
 
 
 def test_pair_arrays_roundtrip():

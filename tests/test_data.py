@@ -16,7 +16,6 @@ from depthrank import (
     pairs_from_permutation,
     permutation_from_scores,
     read_dataset,
-    sample_pairs,
     sample_points,
     whdr,
     write_dataset,
@@ -165,13 +164,14 @@ class TestSamplePoints:
 class TestSamplePairs:
     def test_large_pair_draws(self):
         s = make_sample(n=10)
-        pairs = sample_pairs(s, 3000, 0.0, SplitMix64(0))
-        assert len(pairs) == 3000
+        i, j, r = sample_pair_arrays(s.gt_scores, 3000, SplitMix64(0))
+        assert i.size == j.size == r.size == 3000
+        assert i.dtype == j.dtype == np.intp and r.dtype == np.int64
 
     def test_two_items_only_valid_pairs(self):
         s = make_sample(n=2)
-        for p in sample_pairs(s, 50, 0.0, SplitMix64(1)):
-            assert {p.i, p.j} == {0, 1}
+        i, j, _ = sample_pair_arrays(s.gt_scores, 50, SplitMix64(1))
+        assert all({a, b} == {0, 1} for a, b in zip(i.tolist(), j.tolist()))
 
     def test_labels_match_pairs_from_permutation(self):
         s = make_sample(n=7)
@@ -179,26 +179,19 @@ class TestSamplePairs:
             (p.i, p.j): p.r
             for p in pairs_from_permutation(s.gt_perm, s.gt_scores)
         }
-        for p in sample_pairs(s, 500, 0.0, SplitMix64(2)):
-            want = lookup[(p.i, p.j)] if (p.i, p.j) in lookup else -lookup[(p.j, p.i)]
-            assert p.r == want
+        i, j, r = sample_pair_arrays(s.gt_scores, 500, SplitMix64(2))
+        for a, b, got in zip(i.tolist(), j.tolist(), r.tolist()):
+            want = lookup[(a, b)] if (a, b) in lookup else -lookup[(b, a)]
+            assert got == want
 
     def test_rejects_single_item_sample(self):
         s = make_sample(n=1)
         with pytest.raises(InvalidInputError):
-            sample_pairs(s, 10, 0.0, SplitMix64(0))
-
-    def test_array_path_matches_object_path(self):
-        s = make_sample(n=9)
-        pairs = sample_pairs(s, 200, 0.0, SplitMix64(4))
-        i, j, r = sample_pair_arrays(s.gt_scores, 200, 0.0, SplitMix64(4))
-        assert [p.i for p in pairs] == i.tolist()
-        assert [p.j for p in pairs] == j.tolist()
-        assert [p.r for p in pairs] == r.tolist()
+            sample_pair_arrays(s.gt_scores, 10, SplitMix64(0))
 
     def test_indices_roughly_uniform(self):
         s = make_sample(n=5)
-        i, j, _ = sample_pair_arrays(s.gt_scores, 100_000, 0.0, SplitMix64(5))
+        i, j, _ = sample_pair_arrays(s.gt_scores, 100_000, SplitMix64(5))
         for arr in (i, j):
             freq = np.bincount(arr, minlength=5) / arr.size
             assert np.all(np.abs(freq - 0.2) < 0.01)

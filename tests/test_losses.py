@@ -11,10 +11,9 @@ from depthrank import (
     Permutation,
     SplitMix64,
     WeightConfig,
-    discount,
-    gain,
     listmle_loss,
     listnet_loss,
+    ndcg,
     pairwise_loss,
     permutation_from_scores,
     plackett_luce_log_prob,
@@ -247,30 +246,55 @@ class TestSuffixLogSumExp:
             assert out[i] == pytest.approx(naive, abs=1e-12, rel=1e-12)
 
 
+GAIN_ONLY = WeightConfig(discount="identity-one")
+DISCOUNT_ONLY = WeightConfig(gain="identity-one")
+
+
 class TestGainDiscount:
+    """Anchors of G(s) = 2^s - 1 and D(p) = 1 / log_b(p + 1), read off the
+    position weights and NDCG that share them."""
+
     def test_gain_anchors(self):
-        # exact anchor points of G(s) = 2^s - 1
-        assert gain(0.0) == 0.0
-        assert gain(1.0) == 1.0
-        assert gain(2.0) == 3.0
+        w = position_weights(GAIN_ONLY, np.array([0.0, 1.0, 2.0]))
+        assert w.tolist() == [0.0, 1.0, 3.0]
+        assert w.tolist() == [oracles.gain(s) for s in (0.0, 1.0, 2.0)]
+        # G(1) / G(2) at equal discounts: only gains differ between the two orders
+        assert ndcg([1.0, 2.0], [0.0, 1.0]) == 1.0
+        assert ndcg([1.0, 2.0], [1.0, 0.0]) == pytest.approx(
+            (1.0 + 3.0 * oracles.discount(2)) / (3.0 + oracles.discount(2)), rel=1e-15
+        )
 
     def test_identity_gain(self):
-        assert gain(3.7, kind="identity-one") == 1.0
+        assert position_weights(IDENTITY_WEIGHTS, np.array([3.7])).tolist() == [1.0]
 
     def test_discount_anchors(self):
-        assert discount(1) == 1.0
-        assert discount(3) == 0.5
+        w = position_weights(DISCOUNT_ONLY, np.zeros(3))
+        assert w[0] == 1.0 and w[2] == 0.5
+        assert w.tolist() == pytest.approx([oracles.discount(p) for p in (1, 2, 3)], rel=1e-15)
+        # relevance 1 at rank 1 vs rank 3 gives D(3) / D(1)
+        assert ndcg([0.0, 0.0, 1.0], [1.0, 0.0, -1.0]) == 0.5
 
     def test_discount_other_base(self):
-        assert discount(2, log_base=3.0) == 1.0
+        w = position_weights(WeightConfig(gain="identity-one", log_base=3.0), np.zeros(3))
+        assert w[1] == 1.0
+        assert w.tolist() == pytest.approx(
+            [oracles.discount(p, log_base=3.0) for p in (1, 2, 3)], rel=1e-15
+        )
 
     def test_gain_overflow_guard(self):
+        assert position_weights(GAIN_ONLY, np.array([60.0]))[0] == 2.0**60 - 1.0
         with pytest.raises(InvalidInputError):
-            gain(61.0)
+            position_weights(GAIN_ONLY, np.array([61.0]))
+        with pytest.raises(InvalidInputError):
+            ndcg([61.0, 0.0], [1.0, 0.0])
 
     def test_discount_rejects_bad_position(self):
-        with pytest.raises(InvalidInputError):
-            discount(0)
+        # ranks start at 1: no weight is ever made for position 0, where
+        # the discount would divide by log 1 = 0
+        for n in (0, 1, 2, 50):
+            w = position_weights(DISCOUNT_ONLY, np.zeros(n))
+            assert w.size == n and np.isfinite(w).all()
+            assert w.tolist() == pytest.approx([oracles.discount(p) for p in range(1, n + 1)])
 
 
 class TestListMLE:
@@ -488,7 +512,7 @@ def test_position_weights_match_scalar_ops():
     cfg = WeightConfig()
     by_rank = np.array([4.0, 2.5, 1.0, 0.0])
     w = position_weights(cfg, by_rank)
-    expected = [gain(s) * discount(i + 1) for i, s in enumerate(by_rank)]
+    expected = [oracles.gain(s) * oracles.discount(i + 1) for i, s in enumerate(by_rank)]
     assert w.tolist() == pytest.approx(expected, rel=1e-15)
 
 

@@ -20,6 +20,7 @@ from depthrank import (
     whdr,
 )
 from depthrank.metrics import (
+    _PAIR_ROWS,
     FLAG_ALL_ZERO_GAIN,
     FLAG_DEGENERATE_PRED_TIES,
     _ground_truth_of,
@@ -265,11 +266,11 @@ class TestEvaluate:
             evaluate(samples, [])
 
     def test_internal_pair_arrays_match_public_op(self):
-        from depthrank.metrics import _gt_pair_arrays
+        from depthrank.core import all_pairs
 
         s = sample_from_scores([3.0, 1.0, 1.0, -2.0])
-        i, j, r = _gt_pair_arrays(s)
-        pairs = pairs_from_permutation(s.gt_perm, s.gt_scores, 0.0)
+        i, j, r = all_pairs(s.gt_scores)
+        pairs = pairs_from_permutation(s.gt_perm, s.gt_scores)
         assert [(a, b, c) for a, b, c in zip(i, j, r)] == [(p.i, p.j, p.r) for p in pairs]
 
 
@@ -342,11 +343,13 @@ class TestRankKernel:
     def test_evaluate_matches_pooled_oracle_counts(self):
         rng = SplitMix64(80)
         samples, preds = [], []
-        for n in (2, 3, 9, 40):
+        # 150 items span several row blocks of the thresholded count
+        for n in (2, 3, 9, 40, 150):
             gt = np.floor(3.0 * rng.uniforms(n))
             samples.append(sample_from_scores(gt))
-            preds.append(np.floor(2.0 * rng.uniforms(n)))
-        for t in (0.0, 0.5):
+            preds.append(np.floor(2.0 * rng.uniforms(n)) + 0.3 * rng.uniforms(n))
+        assert samples[-1].n > 2 * _PAIR_ROWS
+        for t in (0.0, 0.1, 0.5):
             counts = [oracles.dense_whdr_counts(s.gt_scores, p, t) for s, p in zip(samples, preds)]
             report = evaluate(samples, preds, pred_tie_threshold=t)
             assert report.n_pairs == sum(c[1] for c in counts)
@@ -390,6 +393,24 @@ class TestRankKernel:
         assert report.n_pairs == n * (n - 1) // 2
         assert 0.0 < report.whdr < 0.5
         assert peak < 100 * 2**20
+
+
+    def test_thresholded_whdr_on_a_long_list_runs_in_bounded_memory(self):
+        import tracemalloc
+
+        n = 10_000
+        gt = np.floor(50.0 * SplitMix64(84).uniforms(n))
+        sample = RankedSample(id="long", items=np.zeros((n, 1)), gt_scores=gt)
+        pred = gt + 0.2 * SplitMix64(85).normals(n)
+        tracemalloc.start()
+        try:
+            report = evaluate([sample], [pred], pred_tie_threshold=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_pairs == n * (n - 1) // 2
+        assert 0.0 < report.whdr < 0.5
+        assert peak < 50 * 2**20
 
 
 class TestTieThreshold:
