@@ -15,12 +15,7 @@ import sys
 import numpy as np
 
 from . import data, metrics, report, trainer
-from .errors import (
-    DatasetFormatError,
-    DepthRankError,
-    InvalidInputError,
-    TrainingDivergedError,
-)
+from .errors import DepthRankError, InvalidInputError, TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -188,8 +183,11 @@ def _cmd_train(args) -> int:
     try:
         params, trace = trainer.train(ds, cfg)
     except TrainingDivergedError as exc:
-        trace = exc.trace if exc.trace is not None else trainer.TrainTrace()
-        rep = _train_report(args, cfg, ds, eval_ds, exc.params, trace)
+        try:
+            rep = _train_report(args, cfg, ds, eval_ds, exc.params, exc.trace)
+        except InvalidInputError:
+            # the last finite params can still score an item +-inf
+            rep = _train_report(args, cfg, ds, eval_ds, None, exc.trace)
         _write_or_print(report.render(rep, args.format), args.out_report)
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -207,28 +205,22 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     threshold = metrics.check_tie_threshold(args.pred_tie_threshold)
-    params = trainer.read_params(args.params)
+    paths = [args.params] if args.compare is None else [args.params, args.compare]
+    params = [trainer.read_params(path) for path in paths]
     ds = data.read_dataset(args.data)
-    if params.dim != ds.feature_dim:
-        raise _UsageError(
-            f"params expect feature_dim {params.dim} but dataset {args.data} "
-            f"has feature_dim {ds.feature_dim}"
-        )
-    rep_a = metrics.evaluate(
-        ds.samples, _scores_for(params, ds), pred_tie_threshold=threshold
-    )
-    if args.compare is not None:
-        params_b = trainer.read_params(args.compare)
-        if params_b.dim != ds.feature_dim:
+    for p in params:
+        if p.dim != ds.feature_dim:
             raise _UsageError(
-                f"params expect feature_dim {params_b.dim} but dataset {args.data} "
+                f"params expect feature_dim {p.dim} but dataset {args.data} "
                 f"has feature_dim {ds.feature_dim}"
             )
-        rep_b = metrics.evaluate(
-            ds.samples, _scores_for(params_b, ds), pred_tie_threshold=threshold
-        )
+    reps = [
+        metrics.evaluate(ds.samples, _scores_for(p, ds), pred_tie_threshold=threshold)
+        for p in params
+    ]
+    if args.compare is not None:
         _write_or_print(
-            report.render_comparison(args.params, rep_a, args.compare, rep_b),
+            report.render_comparison(args.params, reps[0], args.compare, reps[1]),
             args.out_report,
         )
         return EXIT_OK
@@ -240,7 +232,7 @@ def _cmd_eval(args) -> int:
             "data": args.data,
             "pred_tie_threshold": threshold,
         },
-        metrics={"eval": rep_a},
+        metrics={"eval": reps[0]},
     )
     _write_or_print(report.render(rep, args.format), args.out_report)
     return EXIT_OK
@@ -287,13 +279,10 @@ def main(argv=None) -> int:
         if args.cmd == "gradcheck":
             return _cmd_gradcheck(args)
         raise _UsageError(f"unknown command {args.cmd!r}")
-    except _UsageError as exc:
+    except (_UsageError, InvalidInputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidInputError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DatasetFormatError, DepthRankError, OSError) as exc:
+    except (DepthRankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

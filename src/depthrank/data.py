@@ -139,14 +139,14 @@ def _draw_hidden(rng: SplitMix64, spec: SyntheticSpec) -> dict:
 
 def hidden_raw_scores(hidden: dict, features: np.ndarray) -> np.ndarray:
     """Noise-free raw scores of the hidden generator for given features."""
+    # The hidden scorer lives in the dataset header's meta, on line 1.
     if hidden["family"] == FAMILY_LINEAR:
-        w = np.array([float.fromhex(t) for t in hidden["w"]])
-        return features @ w
+        return features @ _parse_floats(hidden["w"], 1)
     h = hidden["hidden"]
     d = features.shape[1]
-    w_hidden = np.array([float.fromhex(t) for t in hidden["w_hidden"]]).reshape(h, d)
-    b_hidden = np.array([float.fromhex(t) for t in hidden["b_hidden"]])
-    w_out = np.array([float.fromhex(t) for t in hidden["w_out"]])
+    w_hidden = _parse_floats(hidden["w_hidden"], 1).reshape(h, d)
+    b_hidden = _parse_floats(hidden["b_hidden"], 1)
+    w_out = _parse_floats(hidden["w_out"], 1)
     return np.tanh(features @ w_hidden.T + b_hidden) @ w_out
 
 
@@ -189,12 +189,7 @@ def sample_points(sample: RankedSample, k: int, rng: SplitMix64) -> np.ndarray:
         raise InvalidInputError(f"k must satisfy 1 <= k <= {n}: {k}")
     if k == n:
         return np.arange(n, dtype=np.intp)
-    pool = np.arange(n, dtype=np.intp)
-    draws = rng.below_block(np.arange(n, n - k, -1, dtype=np.uint64))
-    for i in range(k):
-        j = i + int(draws[i])
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    return rng.shuffle_prefix(n, k)[:k]
 
 
 def sample_pair_arrays(gt_scores: np.ndarray, k: int, rng: SplitMix64):

@@ -28,14 +28,12 @@ class DatasetVersionError(DatasetFormatError):
 
 
 class TrainingDivergedError(DepthRankError):
-    """Training produced a non-finite loss or gradient.
+    """Training produced a non-finite loss, gradient or parameter vector.
 
-    ``trace`` holds the trace of the epochs completed before the abort;
-    ``params`` holds the last finite parameter vector, so callers can still
-    emit a partial report.
+    :func:`depthrank.trainer.train` sets ``trace`` to the trace of the
+    epochs completed before the abort and ``params`` to the last finite
+    parameters, so callers can still emit a partial report.
     """
 
-    def __init__(self, message: str, trace=None, params=None):
-        super().__init__(message)
-        self.trace = trace
-        self.params = params
+    trace = None
+    params = None

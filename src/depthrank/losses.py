@@ -12,9 +12,13 @@ Four losses are implemented:
   a gain of the item's graded relevance and a discount of its rank, the
   same weighting NDCG uses.
 
-All listwise losses are computed through one shared kernel built on a
-streaming suffix log-sum-exp, so they stay finite for score magnitudes up
-to ~700 and the identity-weight configuration reduces to plain ListMLE
+Each loss is one private array kernel returning ``(value, gradient with
+respect to the scores z)``: ``_pairwise_batch(z, i, j, r)`` (mean over
+pairs), ``_listnet(y, z)``, and ``_weighted_nll(order, weights, z)`` for
+both ListMLE losses.  The public functions validate their inputs, then
+call a kernel; the trainer calls the kernels directly.  The ListMLE
+kernel streams a suffix log-sum-exp, so it stays finite for score
+magnitudes up to ~700 and identity weights reduce it to plain ListMLE
 bit-for-bit.  Gradients are analytic; the test suite checks every one
 against central finite differences.
 """
@@ -140,6 +144,28 @@ def position_weights(cfg: WeightConfig, gt_scores_by_rank: np.ndarray) -> np.nda
     return gains * _discounts(s.size, cfg.log_base)
 
 
+def _pairwise_batch(z: np.ndarray, i: np.ndarray, j: np.ndarray, r: np.ndarray):
+    """Mean pairwise loss over the pairs ``(i[k], j[k], r[k])`` and its
+    score gradient.
+
+    The squared tie branch can overflow to inf when training diverges;
+    that is the divergence signal the train loop checks for, so overflow
+    is deliberately silent here.
+    """
+    d = z[i] - z[j]
+    ordered = r != 0
+    sgn = r.astype(np.float64)
+    # -sgn * d is the wrongly-signed difference r (z_j - z_i); exact, as -(a - b) == b - a
+    with np.errstate(over="ignore"):
+        vals = np.where(ordered, softplus(-sgn * d), d * d)
+        g_i = np.where(ordered, -sgn * sigmoid(-sgn * d), 2.0 * d)
+    k = d.size
+    dz = np.zeros_like(z)
+    np.add.at(dz, i, g_i)
+    np.add.at(dz, j, -g_i)
+    return float(vals.sum() / k), dz / k
+
+
 def pairwise_loss(z_i: float, z_j: float, r: int) -> LossResult:
     """Per-pair loss: softplus of the wrongly-signed score difference for
     ordered pairs, squared difference for ties.
@@ -149,21 +175,29 @@ def pairwise_loss(z_i: float, z_j: float, r: int) -> LossResult:
     """
     if not (math.isfinite(z_i) and math.isfinite(z_j)):
         raise InvalidInputError(f"scores must be finite: ({z_i!r}, {z_j!r})")
-    if r in (1, -1):
-        d = r * (z_j - z_i)  # the wrongly-signed difference; exact, as -(a - b) == b - a
-        s = float(sigmoid(d))
-        return LossResult(float(softplus(d)), np.array([-r * s, r * s]))
-    if r == 0:
-        d = z_i - z_j
-        return LossResult(d * d, np.array([2.0 * d, -2.0 * d]))
-    raise InvalidInputError(f"ordinal label must be +1, -1 or 0: {r!r}")
+    if r not in (1, -1, 0):
+        raise InvalidInputError(f"ordinal label must be +1, -1 or 0: {r!r}")
+    z = np.array([z_i, z_j], dtype=np.float64)
+    value, grad = _pairwise_batch(z, np.array([0]), np.array([1]), np.array([r]))
+    return LossResult(value, grad)
+
+
+def _softmax(v: np.ndarray) -> np.ndarray:
+    e = np.exp(v - v.max())
+    return e / e.sum()
 
 
 def top_one_probabilities(scores) -> np.ndarray:
     """Softmax of the scores: the probability of each item ranking first."""
-    z = as_score_vector(scores)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    return _softmax(as_score_vector(scores))
+
+
+def _listnet(y: np.ndarray, z: np.ndarray):
+    """Kernel of :func:`listnet_loss`: value and score gradient."""
+    p_y = _softmax(y)
+    m = z.max()
+    log_p_z = z - (m + math.log(np.exp(z - m).sum()))
+    return -math.fsum((p_y * log_p_z).tolist()), np.exp(log_p_z) - p_y
 
 
 def listnet_loss(gt_scores, pred_scores) -> LossResult:
@@ -173,12 +207,7 @@ def listnet_loss(gt_scores, pred_scores) -> LossResult:
     difference ``P_pred - P_gt``.
     """
     y = as_score_vector(gt_scores)
-    z = as_score_vector(pred_scores, n=y.size)
-    p_y = top_one_probabilities(y)
-    m = z.max()
-    log_p_z = z - (m + math.log(np.exp(z - m).sum()))
-    value = -math.fsum((p_y * log_p_z).tolist())
-    grad = np.exp(log_p_z) - p_y
+    value, grad = _listnet(y, as_score_vector(pred_scores, n=y.size))
     return LossResult(value, grad)
 
 

@@ -61,10 +61,6 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
-    def uniform(self) -> float:
-        """One double in [0, 1)."""
-        return (self.next_u64() >> 11) * _TO_DOUBLE
-
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` doubles in [0, 1)."""
         return ((self.u64_block(count) >> np.uint64(11)).astype(np.float64)) * _TO_DOUBLE
@@ -101,22 +97,23 @@ class SplitMix64:
             raise InvalidInputError(f"bound must be positive: {bound}")
         return self.next_u64() % bound
 
-    def below_block(self, bounds: np.ndarray) -> np.ndarray:
-        """Elementwise ``u64 % bounds`` for an array of positive bounds."""
-        bounds = np.asarray(bounds, dtype=np.uint64)
-        if bounds.size and int(bounds.min()) <= 0:
-            raise InvalidInputError("all bounds must be positive")
-        return self.u64_block(bounds.size) % bounds
+    def shuffle_prefix(self, n: int, k: int) -> np.ndarray:
+        """``range(n)`` after ``k`` Fisher-Yates steps, consuming exactly ``k`` draws.
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of ``range(n)``."""
-        if n < 0:
-            raise InvalidInputError(f"n must be >= 0: {n}")
+        Step ``i`` swaps position ``i`` with ``i + u % (n - i)`` for the next
+        draw ``u``, so the first ``k`` entries are a uniform ordered subset.
+        """
+        if not 0 <= k <= n:
+            raise InvalidInputError(f"need 0 <= k <= n, got k={k}, n={n}")
         out = np.arange(n, dtype=np.intp)
-        if n < 2:
-            return out
-        draws = self.below_block(np.arange(n, 1, -1, dtype=np.uint64))
-        for i in range(n - 1):
+        draws = self.u64_block(k) % np.arange(n, n - k, -1, dtype=np.uint64)
+        for i in range(k):
             j = i + int(draws[i])
             out[i], out[j] = out[j], out[i]
         return out
+
+    def permutation(self, n: int) -> np.ndarray:
+        """Fisher-Yates permutation of ``range(n)``; consumes ``max(n - 1, 0)`` draws."""
+        if n < 0:
+            raise InvalidInputError(f"n must be >= 0: {n}")
+        return self.shuffle_prefix(n, max(n - 1, 0))

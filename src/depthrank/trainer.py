@@ -2,14 +2,16 @@
 
 Scorers map item feature vectors to ranking scores: either a linear model
 ``w . x + b`` or a one-hidden-layer tanh network.  Backprop composes the
-analytic score-gradients from the loss module with the scorer Jacobian;
-no autodiff is involved, so :func:`gradient_check` (central finite
-differences over the full parameter vector) is the correctness oracle.
+score-gradient of a loss kernel from :mod:`depthrank.losses` with the
+scorer Jacobian; no autodiff is involved, so :func:`gradient_check`
+(central finite differences over the full parameter vector) is the
+correctness oracle.  A :class:`Target` holds one sample's kernel inputs.
 
 Training is plain mini-batch SGD with classic momentum, fully
 deterministic given the config seed: sample order, per-epoch point/pair
 subsampling, and MLP initialization all flow from one
-:class:`~depthrank.rng.SplitMix64` stream.
+:class:`~depthrank.rng.SplitMix64` stream.  A non-finite batch loss,
+gradient or parameter vector raises :class:`TrainingDivergedError`.
 
 Params file format (``depthrank.params.v1``) — line-delimited text with
 the hex-float encoding and header reader of :mod:`depthrank.data`,
@@ -29,7 +31,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import losses
 from .core import RankedSample, all_pairs, permutation_from_scores
 from .data import (
     Dataset,
@@ -42,7 +43,7 @@ from .data import (
     sample_points,
 )
 from .errors import DatasetFormatError, InvalidInputError, TrainingDivergedError
-from .losses import WeightConfig
+from .losses import WeightConfig, _listnet, _pairwise_batch, _weighted_nll, position_weights
 from .metrics import _GroundTruth, _ground_truth_of, _rank_metrics
 from .rng import SplitMix64
 
@@ -57,6 +58,9 @@ LOSS_KINDS = (LOSS_PAIRWISE, LOSS_LISTNET, LOSS_LISTMLE, LOSS_WEIGHTED_LISTMLE)
 SCORER_LINEAR = "linear"
 SCORER_MLP = "mlp"
 SCORER_FAMILIES = (SCORER_LINEAR, SCORER_MLP)
+
+# Trace metrics are computed on the first this many training samples.
+EVAL_SAMPLES = 100
 
 
 def _frozen(arr) -> np.ndarray:
@@ -147,7 +151,6 @@ class TrainConfig:
     weight_config: WeightConfig = field(default_factory=WeightConfig)
     scorer: str = SCORER_LINEAR
     hidden_size: int = 16
-    eval_samples: int = 100
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
@@ -165,8 +168,6 @@ class TrainConfig:
             )
         if self.hidden_size < 1:
             raise InvalidInputError(f"hidden_size must be >= 1: {self.hidden_size}")
-        if self.eval_samples < 1:
-            raise InvalidInputError(f"eval_samples must be >= 1: {self.eval_samples}")
         if not (0 <= self.seed < 2**64):
             raise InvalidInputError(f"seed must be in [0, 2^64): {self.seed}")
 
@@ -249,103 +250,66 @@ def _param_grad_from_scores(params: ScorerParams, x: np.ndarray, dz: np.ndarray)
 
 
 @dataclass(frozen=True)
-class ListwiseTarget:
-    """Fixed subsample context for one listwise loss evaluation."""
+class Target:
+    """One sample's loss input: the items scored (``points``, ``None`` for the
+    whole sample) and the arrays the loss kernel takes besides the scores
+    (``args``): ``(i, j, r)`` pairs, ``(gt_scores,)`` for ListNet, or
+    ``(order, weights)`` for both ListMLE losses, unit weights for plain ListMLE.
+    """
 
-    points: np.ndarray | None  # None = use the whole sample
-    perm_order: np.ndarray     # gt order within the (sub)sample
-    gt_sub: np.ndarray         # raw gt scores of the subsample
-    weights: np.ndarray | None  # position weights (weighted ListMLE only)
-
-
-@dataclass(frozen=True)
-class PairTarget:
-    """Fixed pair sample for one pairwise loss evaluation."""
-
-    i: np.ndarray
-    j: np.ndarray
-    r: np.ndarray
+    points: np.ndarray | None
+    args: tuple
 
 
 def make_listwise_target(
     sample: RankedSample, cfg: TrainConfig, points: np.ndarray | None
-) -> ListwiseTarget:
-    if points is None:
-        gt_sub = sample.gt_scores
-        order = sample.gt_perm.order_array
-    else:
-        gt_sub = sample.gt_scores[points]
-        order = permutation_from_scores(gt_sub).order_array
-    weights = None
-    if cfg.loss == LOSS_WEIGHTED_LISTMLE:
-        relevance = normalize_relevance(gt_sub)
-        weights = losses.position_weights(cfg.weight_config, relevance[order])
-    return ListwiseTarget(points=points, perm_order=order, gt_sub=gt_sub, weights=weights)
+) -> Target:
+    gt_sub = sample.gt_scores if points is None else sample.gt_scores[points]
+    if cfg.loss == LOSS_LISTNET:
+        return Target(points, (gt_sub,))
+    order = (sample.gt_perm if points is None else permutation_from_scores(gt_sub)).order_array
+    if cfg.loss == LOSS_LISTMLE:
+        return Target(points, (order, np.ones(order.size)))
+    relevance = normalize_relevance(gt_sub)
+    return Target(points, (order, position_weights(cfg.weight_config, relevance[order])))
 
 
-def make_full_target(sample: RankedSample, cfg: TrainConfig):
+def make_full_target(sample: RankedSample, cfg: TrainConfig) -> Target:
     """Deterministic whole-sample target (used by gradient checks)."""
     if cfg.loss == LOSS_PAIRWISE:
         if sample.n < 2:
             raise InvalidInputError("pairwise loss needs samples with >= 2 items")
-        return PairTarget(*all_pairs(sample.gt_scores))
+        return Target(None, all_pairs(sample.gt_scores))
     return make_listwise_target(sample, cfg, None)
 
 
-def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64):
+def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64) -> Target:
     """Per-epoch stochastic target: point subset or pair sample."""
     if cfg.loss == LOSS_PAIRWISE:
-        return PairTarget(*sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, rng))
+        return Target(None, sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, rng))
     k = min(cfg.points_per_sample, sample.n)
     return make_listwise_target(sample, cfg, sample_points(sample, k, rng))
 
 
-def _pairwise_batch(z: np.ndarray, target: PairTarget):
-    """Mean pairwise loss over sampled pairs and its score gradient.
-
-    The squared tie branch can overflow to inf when training diverges;
-    that is the divergence signal the train loop checks for, so overflow
-    is deliberately silent here.
-    """
-    d = z[target.i] - z[target.j]
-    r = target.r
-    ordered = r != 0
-    sgn = r.astype(np.float64)
-    with np.errstate(over="ignore"):
-        vals = np.where(ordered, losses.softplus(-sgn * d), d * d)
-        g_i = np.where(ordered, -sgn * losses.sigmoid(-sgn * d), 2.0 * d)
-    k = d.size
-    dz = np.zeros_like(z)
-    np.add.at(dz, target.i, g_i)
-    np.add.at(dz, target.j, -g_i)
-    return float(vals.sum() / k), dz / k
-
-
 def backprop(
-    params: ScorerParams, sample: RankedSample, cfg: TrainConfig, target=None
+    params: ScorerParams, sample: RankedSample, cfg: TrainConfig, target: Target | None = None
 ):
     """Loss value and flat parameter gradient for one sample.
 
     ``target`` fixes the subsample (points or pairs); ``None`` evaluates
-    the deterministic whole-sample target.
+    the deterministic whole-sample target.  Kernels are looked up by name
+    at each call, so a wrapper installed on one sees every call.
     """
     if target is None:
         target = make_full_target(sample, cfg)
-    if isinstance(target, PairTarget):
-        z = score(params, sample.items)
-        value, dz = _pairwise_batch(z, target)
-        return value, _param_grad_from_scores(params, sample.items, dz)
     x = sample.items if target.points is None else sample.items[target.points]
     z = score(params, x)
-    if cfg.loss == LOSS_LISTNET:
-        res = losses.listnet_loss(target.gt_sub, z)
-        value, dz = res.value, res.grad
-    elif cfg.loss == LOSS_LISTMLE:
-        value, dz = losses._weighted_nll(target.perm_order, np.ones(z.size), z)
-    elif cfg.loss == LOSS_WEIGHTED_LISTMLE:
-        value, dz = losses._weighted_nll(target.perm_order, target.weights, z)
+    if cfg.loss == LOSS_PAIRWISE:
+        value, dz = _pairwise_batch(z, *target.args)
+    elif cfg.loss == LOSS_LISTNET:
+        value, dz = _listnet(*target.args, z)
     else:
-        raise InvalidInputError(f"unknown loss {cfg.loss!r}")
+        value, dz = _weighted_nll(*target.args, z)
     return value, _param_grad_from_scores(params, x, dz)
 
 
@@ -356,13 +320,19 @@ def sgd_step(
     momentum: float,
     velocity: np.ndarray,
 ):
-    """Classic momentum update: v <- mu v - eta g; theta <- theta + v."""
+    """Classic momentum update: v <- mu v - eta g; theta <- theta + v.
+
+    A non-finite gradient or updated vector raises :class:`TrainingDivergedError`.
+    """
     if vec.shape != grad.shape or vec.shape != velocity.shape:
         raise InvalidInputError("parameter, gradient, and velocity shapes must match")
     if not np.isfinite(grad).all():
         raise TrainingDivergedError("non-finite gradient in SGD step")
     new_velocity = momentum * velocity - learning_rate * grad
-    return vec + new_velocity, new_velocity
+    new_vec = vec + new_velocity
+    if not np.isfinite(new_vec).all():
+        raise TrainingDivergedError("non-finite parameters after SGD step")
+    return new_vec, new_velocity
 
 
 @dataclass(frozen=True)
@@ -395,67 +365,59 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     pairwise loss redraws ``pairs_per_sample`` pairs.  Batch losses are
     means over the samples of the batch.  Raises
     :class:`TrainingDivergedError` (carrying the partial trace and last
-    finite params) when a loss or gradient goes non-finite.
+    finite params) when a loss, gradient or parameter vector goes non-finite.
     """
     if len(dataset) < 1:
         raise InvalidInputError("dataset must not be empty")
     if cfg.loss == LOSS_PAIRWISE and any(s.n < 2 for s in dataset.samples):
         raise InvalidInputError("pairwise training needs every sample to have >= 2 items")
     rng = SplitMix64(cfg.seed)
-    template = init_params(cfg.scorer, dataset.feature_dim, cfg.hidden_size, rng)
-    vec = params_to_vector(template)
+    params = init_params(cfg.scorer, dataset.feature_dim, cfg.hidden_size, rng)
+    vec = params_to_vector(params)
     velocity = np.zeros_like(vec)
     m = len(dataset)
     # Static listwise targets when the subset is the whole sample anyway.
     static_targets = None
     if cfg.loss != LOSS_PAIRWISE and cfg.points_per_sample >= max(s.n for s in dataset.samples):
         static_targets = [make_listwise_target(s, cfg, None) for s in dataset.samples]
-    eval_ctx = _make_eval_context(dataset.samples[: min(cfg.eval_samples, m)])
+    eval_ctx = _make_eval_context(dataset.samples[:EVAL_SAMPLES])
     trace = TrainTrace()
-    for _epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(m)
-        epoch_loss = 0.0
-        params = vector_to_params(vec, template)
-        for start in range(0, m, cfg.batch):
-            batch = order[start : start + cfg.batch]
-            total_val = 0.0
-            grad_acc = np.zeros_like(vec)
-            for s_idx in batch:
-                s = dataset.samples[int(s_idx)]
-                if static_targets is not None:
-                    target = static_targets[int(s_idx)]
-                else:
-                    target = draw_target(s, cfg, rng)
-                value, grad = backprop(params, s, cfg, target)
-                total_val += value
-                grad_acc += grad
-            batch_val = total_val / batch.size
-            if not math.isfinite(batch_val):
-                raise TrainingDivergedError(
-                    "non-finite training loss", trace=trace,
-                    params=vector_to_params(vec, template),
-                )
-            try:
+    try:
+        for _epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(m)
+            epoch_loss = 0.0
+            for start in range(0, m, cfg.batch):
+                batch = order[start : start + cfg.batch]
+                total_val = 0.0
+                grad_acc = np.zeros_like(vec)
+                for s_idx in batch:
+                    s = dataset.samples[int(s_idx)]
+                    if static_targets is not None:
+                        target = static_targets[int(s_idx)]
+                    else:
+                        target = draw_target(s, cfg, rng)
+                    value, grad = backprop(params, s, cfg, target)
+                    total_val += value
+                    grad_acc += grad
+                if not math.isfinite(total_val):
+                    raise TrainingDivergedError("non-finite training loss")
                 vec, velocity = sgd_step(
                     vec, grad_acc / batch.size, cfg.learning_rate, cfg.momentum, velocity
                 )
-            except TrainingDivergedError as exc:
-                exc.trace = trace
-                exc.params = vector_to_params(vec, template)
-                raise
-            params = vector_to_params(vec, template)
-            epoch_loss += total_val
-        if not np.isfinite(vec).all():
-            raise TrainingDivergedError(
-                "non-finite parameters after epoch", trace=trace, params=params
-            )
-        whdr_val, map_val = _trace_eval(params, eval_ctx)
-        trace.train_loss.append(epoch_loss / m)
-        trace.eval_whdr.append(whdr_val)
-        trace.eval_map.append(map_val)
-        trace.epoch_seconds.append(time.perf_counter() - t0)
-    return vector_to_params(vec, template), trace
+                params = vector_to_params(vec, params)
+                epoch_loss += total_val
+            whdr_val, map_val = _trace_eval(params, eval_ctx)
+            trace.train_loss.append(epoch_loss / m)
+            trace.eval_whdr.append(whdr_val)
+            trace.eval_map.append(map_val)
+            trace.epoch_seconds.append(time.perf_counter() - t0)
+    except TrainingDivergedError as exc:
+        # params are the last finite ones: sgd_step rejects a non-finite update
+        exc.trace = trace
+        exc.params = params
+        raise
+    return params, trace
 
 
 def gradient_check(

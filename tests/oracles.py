@@ -217,3 +217,43 @@ def fd_gradient(fn, x, h=1e-5) -> np.ndarray:
         e[k] = h
         out[k] = (fn(x + e) - fn(x - e)) / (2.0 * h)
     return out
+
+
+def pairwise_scalar(z_i, z_j, r):
+    """Per-pair loss and ``[d/dz_i, d/dz_j]``: the package's former scalar formula.
+
+    Ordered pairs take softplus of the wrongly-signed difference
+    ``d = r (z_j - z_i)``, with gradient ``(-r sigmoid(d), r sigmoid(d))``;
+    ties take ``(z_i - z_j)^2``.
+    """
+    if r == 0:
+        d = z_i - z_j
+        return d * d, [2.0 * d, -2.0 * d]
+    d = r * (z_j - z_i)
+    t = math.exp(-abs(d))
+    softplus = max(d, 0.0) + math.log1p(t)
+    sigmoid = 1.0 / (1.0 + t) if d >= 0 else t / (1.0 + t)
+    return softplus, [-r * sigmoid, r * sigmoid]
+
+
+def listnet_explicit(gt_scores, pred_scores):
+    """ListNet value and gradient in plain floats: the package's former
+    expression, ``-sum P_gt log P_pred`` and ``P_pred - P_gt``."""
+    top = max(gt_scores)
+    e = [math.exp(y - top) for y in gt_scores]
+    p_gt = [v / sum(e) for v in e]
+    top = max(pred_scores)
+    lse = top + math.log(sum(math.exp(z - top) for z in pred_scores))
+    log_p_pred = [z - lse for z in pred_scores]
+    value = -math.fsum(p * lp for p, lp in zip(p_gt, log_p_pred))
+    return value, [math.exp(lp) - p for lp, p in zip(log_p_pred, p_gt)]
+
+
+def fisher_yates_prefix(n, k, next_u64):
+    """``range(n)`` after ``k`` steps of a textbook Fisher-Yates shuffle:
+    step ``i`` swaps position ``i`` with ``i + next_u64() % (n - i)``."""
+    out = list(range(n))
+    for i in range(k):
+        j = i + next_u64() % (n - i)
+        out[i], out[j] = out[j], out[i]
+    return out

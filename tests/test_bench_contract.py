@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthrank import RankedSample, metrics, trainer
+# cli is unused here, but the tracer wraps only modules already imported.
+from depthrank import RankedSample, cli, data, metrics, trainer  # noqa: F401
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +80,23 @@ def test_whdr_from_arrays_takes_four_positional_arguments():
     # item 0 is ranked last but belongs first: its three pairs are wrong;
     # (1, 2) and (1, 3) are right, and (2, 3) ties in both
     assert metrics.whdr_from_arrays(i, j, r, pred) == (3, 6)
+
+
+# Per-layer metrics perfbench/run.py adds itself rather than the tracer.
+RUNNER_METRICS = {"metrics.evaluate.peak_mb", "trace.overhead"}
+
+
+def test_traced_train_and_evaluate_report_every_per_layer_metric(tracing):
+    ds = data.generate_synthetic(data.SyntheticSpec(n_samples=3, items_per_sample=6,
+                                                    feature_dim=2, seed=4))
+    cfg = trainer.TrainConfig(loss="weighted-listmle", learning_rate=0.05, epochs=2, seed=1,
+                              points_per_sample=4)
+    with tracing.Tracer() as tracer:
+        params, _ = trainer.train(ds, cfg)
+        metrics.evaluate(ds.samples, [trainer.score(params, s.items) for s in ds.samples])
+    got = tracer.metrics()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    missing = {m["name"] for m in bench["per_layer"]} - RUNNER_METRICS - set(got)
+    assert not missing
+    assert got["trainer.train.calls"]["value"] == 1
+    json.dumps(got, allow_nan=False)

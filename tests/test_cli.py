@@ -117,6 +117,18 @@ class TestTrainCommand:
         assert code == EXIT_DIVERGED
         assert "kind=train" in report_path.read_text()
 
+    @pytest.mark.parametrize("loss", ["pairwise", "listnet", "listmle", "weighted-listmle"])
+    def test_overflowing_step_size_exits_3_with_partial_report(self, tmp_path, loss):
+        data = gen(tmp_path)
+        report_path = tmp_path / "r.txt"
+        code = run(
+            "train", "--data", str(data), "--loss", loss, "--lr", "1e308",
+            "--epochs", "3", "--seed", "1",
+            "--out-params", str(tmp_path / "p.txt"), "--out-report", str(report_path),
+        )
+        assert code == EXIT_DIVERGED
+        assert "kind=train" in report_path.read_text()
+
     def test_missing_dataset_file(self, tmp_path):
         code = run(
             "train", "--data", str(tmp_path / "nope.txt"), "--loss", "listmle",
@@ -240,6 +252,15 @@ class TestEvalCommand:
         code = run("eval", "--params", str(params_path), "--data", str(data))
         assert code == EXIT_USAGE
         assert "feature_dim" in capsys.readouterr().err
+
+    def test_compare_dim_mismatch_is_usage_error(self, tmp_path, capsys):
+        data = gen(tmp_path, dim=4)
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        write_params(LinearScorer(w=np.zeros(4), b=0.0), good)
+        write_params(LinearScorer(w=np.zeros(3), b=0.0), bad)
+        code = run("eval", "--params", str(good), "--data", str(data), "--compare", str(bad))
+        assert code == EXIT_USAGE
+        assert "feature_dim 3" in capsys.readouterr().err
 
     def test_compare_golden_format(self, tmp_path):
         data = gen(tmp_path, n_samples=2, items=4, dim=2, seed=9)

@@ -82,6 +82,17 @@ class TestGenerateSynthetic:
             small_spec(scorer_family="resnet")
 
 
+    @pytest.mark.parametrize("family, field", [
+        ("linear", "w"), ("mlp", "w_hidden"), ("mlp", "b_hidden"), ("mlp", "w_out"),
+    ])
+    def test_corrupt_hidden_entry_is_format_error_at_line_1(self, family, field):
+        hidden = generate_synthetic(small_spec(scorer_family=family)).meta["hidden"]
+        features = np.zeros((2, 5))
+        with pytest.raises(DatasetFormatError) as info:
+            hidden_raw_scores({**hidden, field: ["zz"] + hidden[field][1:]}, features)
+        assert info.value.line == 1
+
+
 class TestNormalizeRelevance:
     def test_endpoints(self):
         assert normalize_relevance([10.0, 20.0]).tolist() == [0.0, 4.0]

@@ -21,7 +21,7 @@ from depthrank import (
     top_one_probabilities,
     weighted_listmle_loss,
 )
-from depthrank.losses import IDENTITY_WEIGHTS, position_weights
+from depthrank.losses import IDENTITY_WEIGHTS, _listnet, _pairwise_batch, position_weights
 
 import oracles
 
@@ -98,6 +98,57 @@ class TestPairwiseLoss:
         res = pairwise_loss(zi, zj, r)
         fd = oracles.fd_gradient(lambda v: pairwise_loss(v[0], v[1], r).value, [zi, zj])
         assert np.allclose(res.grad, fd, rtol=1e-5, atol=1e-5)
+
+
+# Scores with ties, equal values and the +-700 ends of the stable range.
+kernel_scores = st.one_of(
+    st.sampled_from([-700.0, -1.5, 0.0, 1.5, 700.0]),
+    st.floats(min_value=-700, max_value=700, allow_nan=False),
+)
+
+
+class TestKernelsMatchOracles:
+    @given(kernel_scores, kernel_scores, st.sampled_from([1, -1, 0]))
+    def test_pairwise_loss_matches_scalar_formula(self, zi, zj, r):
+        res = pairwise_loss(zi, zj, r)
+        value, grad = oracles.pairwise_scalar(zi, zj, r)
+        assert res.value == pytest.approx(value, rel=1e-14, abs=1e-300)
+        assert res.grad.tolist() == pytest.approx(grad, rel=1e-14, abs=1e-300)
+
+    @given(
+        st.lists(kernel_scores, min_size=6, max_size=6),
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(1, 5), st.sampled_from([1, -1, 0])),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_pairwise_batch_is_mean_of_scalar_formula(self, z, pairs):
+        z = np.array(z)
+        i = np.array([a for a, _, _ in pairs])
+        j = (i + np.array([b for _, b, _ in pairs])) % z.size
+        r = np.array([c for _, _, c in pairs])
+        value, dz = _pairwise_batch(z, i, j, r)
+        expected = np.zeros(z.size)
+        values = []
+        for a, b, c in zip(i.tolist(), j.tolist(), r.tolist()):
+            v, (g_a, g_b) = oracles.pairwise_scalar(z[a], z[b], c)
+            values.append(v)
+            expected[a] += g_a
+            expected[b] += g_b
+        assert value == pytest.approx(sum(values) / len(pairs), rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(dz, expected / len(pairs), rtol=1e-12, atol=1e-9)
+
+    @given(st.lists(st.tuples(kernel_scores, kernel_scores), min_size=1, max_size=10))
+    def test_listnet_matches_explicit_expression(self, yz):
+        y = [a for a, _ in yz]
+        z = [b for _, b in yz]
+        value, grad = oracles.listnet_explicit(y, z)
+        res = listnet_loss(y, z)
+        assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(res.grad, grad, rtol=0, atol=1e-12)
+        kernel_value, kernel_grad = _listnet(np.array(y), np.array(z))
+        assert kernel_value == res.value
+        assert kernel_grad.tolist() == res.grad.tolist()
 
 
 class TestTopOneProbabilities:

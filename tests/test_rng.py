@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from depthrank import InvalidInputError, SplitMix64
+from depthrank import InvalidInputError, RankedSample, SplitMix64, sample_points
+
+import oracles
 
 
 def test_same_seed_same_stream():
@@ -71,6 +75,50 @@ def test_permutation_is_bijection():
     for n in (0, 1, 2, 5, 50):
         p = rng.permutation(n)
         assert sorted(p.tolist()) == list(range(n))
+
+
+def counted_draws(seed):
+    """A ``next_u64`` of a fresh stream, and the list its calls are logged in."""
+    rng, calls = SplitMix64(seed), []
+
+    def draw():
+        calls.append(1)
+        return rng.next_u64()
+
+    return rng, draw, calls
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 40), st.data())
+def test_shuffle_prefix_matches_naive_fisher_yates(seed, n, data):
+    k = data.draw(st.integers(0, n))
+    rng = SplitMix64(seed)
+    ref, draw, calls = counted_draws(seed)
+    assert rng.shuffle_prefix(n, k).tolist() == oracles.fisher_yates_prefix(n, k, draw)
+    assert len(calls) == k
+    assert rng.next_u64() == ref.next_u64()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 30), st.data())
+def test_permutation_and_sample_points_match_naive_fisher_yates(seed, n, data):
+    ref, draw, calls = counted_draws(seed)
+    rng = SplitMix64(seed)
+    assert rng.permutation(n).tolist() == oracles.fisher_yates_prefix(n, n - 1, draw)
+    assert len(calls) == n - 1 and rng.next_u64() == ref.next_u64()
+    k = data.draw(st.integers(1, n))
+    sample = RankedSample(id="s", items=np.zeros((n, 1)), gt_scores=np.zeros(n))
+    calls.clear()
+    got = sample_points(sample, k, rng).tolist()
+    if k == n:  # the whole sample, in order, with no draws
+        assert got == list(range(n)) and not calls
+    else:
+        assert got == oracles.fisher_yates_prefix(n, k, draw)[:k] and len(calls) == k
+    assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (3, -1), (-1, 0)])
+def test_shuffle_prefix_rejects_bad_sizes(n, k):
+    with pytest.raises(InvalidInputError):
+        SplitMix64(0).shuffle_prefix(n, k)
 
 
 def test_permutation_deterministic():

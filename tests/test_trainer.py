@@ -11,6 +11,7 @@ from depthrank import (
     SplitMix64,
     TrainConfig,
     TrainingDivergedError,
+    TrainTrace,
     backprop,
     generate_synthetic,
     gradient_check,
@@ -165,8 +166,7 @@ class TestBackprop:
         z = score(params, sample.items)
         target = make_full_target(sample, cfg)
         per_pair = [
-            pairwise_loss(z[i], z[j], int(r)).value
-            for i, j, r in zip(target.i, target.j, target.r)
+            pairwise_loss(z[i], z[j], int(r)).value for i, j, r in zip(*target.args)
         ]
         assert value == pytest.approx(sum(per_pair) / len(per_pair), rel=1e-12)
 
@@ -196,6 +196,11 @@ class TestSgdStep:
     def test_non_finite_gradient_raises(self):
         with pytest.raises(TrainingDivergedError):
             sgd_step(np.zeros(1), np.array([float("nan")]), 0.1, 0.0, np.zeros(1))
+
+    def test_overflowing_update_raises(self):
+        # finite gradient, but the step pushes the parameter past the float range
+        with pytest.raises(TrainingDivergedError):
+            sgd_step(np.array([1e308]), np.array([-1.0]), 1e308, 0.0, np.zeros(1))
 
 
 class TestGradientCheck:
@@ -324,6 +329,14 @@ class TestTrain:
         assert info.value.trace is not None
         assert len(info.value.trace) < 50
         assert info.value.params is not None
+
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    def test_overflowing_step_size_diverges_with_finite_params(self, loss):
+        cfg = TrainConfig(loss=loss, learning_rate=1e308, epochs=3, seed=1)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(tiny_dataset(), cfg)
+        assert isinstance(info.value.trace, TrainTrace)
+        assert np.isfinite(params_to_vector(info.value.params)).all()
 
     def test_loss_decreases_on_learnable_data(self):
         ds = tiny_dataset(n_samples=20, items_per_sample=10, seed=21)
