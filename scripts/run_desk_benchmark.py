@@ -20,7 +20,7 @@ from pathlib import Path
 from depthrank import SyntheticSpec, TrainConfig, generate_synthetic, train, write_dataset
 from depthrank import metrics
 from depthrank.report import render_comparison
-from depthrank.trainer import score, write_params
+from depthrank.scorer import score, write_params
 
 LOSSES = ("pairwise", "listnet", "listmle", "weighted-listmle")
 

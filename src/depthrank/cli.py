@@ -10,11 +10,12 @@ byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from . import data, metrics, report, trainer
+from . import data, metrics, report, scorer, trainer
 from .errors import DepthRankError, InvalidInputError, TrainingDivergedError
 
 EXIT_OK = 0
@@ -58,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--seed", type=int, required=True)
     pt.add_argument("--points", type=int, default=500)
     pt.add_argument("--pairs", type=int, default=3000)
-    pt.add_argument("--scorer", choices=list(trainer.SCORER_FAMILIES),
-                    default=trainer.SCORER_LINEAR)
+    pt.add_argument("--scorer", choices=list(scorer.SCORER_FAMILIES),
+                    default=scorer.SCORER_LINEAR)
     pt.add_argument("--hidden", type=int, default=16)
     pt.add_argument("--gain", choices=["identity-one", "two-pow-minus-one"],
                     default="two-pow-minus-one")
@@ -119,7 +120,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _scores_for(params, ds: data.Dataset) -> list[np.ndarray]:
-    return [trainer.score(params, s.items) for s in ds.samples]
+    return [scorer.score(params, s.items) for s in ds.samples]
 
 
 def _train_config(args) -> trainer.TrainConfig:
@@ -141,21 +142,9 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _train_report(args, cfg, ds, eval_ds, params, trace) -> report.ExperimentReport:
-    cfg_echo = {
-        "loss": cfg.loss,
-        "learning_rate": cfg.learning_rate,
-        "momentum": cfg.momentum,
-        "epochs": cfg.epochs,
-        "batch": cfg.batch,
-        "points_per_sample": cfg.points_per_sample,
-        "pairs_per_sample": cfg.pairs_per_sample,
-        "scorer": cfg.scorer,
-        "hidden_size": cfg.hidden_size,
-        "gain": cfg.weight_config.gain,
-        "discount": cfg.weight_config.discount,
-        "log_base": cfg.weight_config.log_base,
-        "data": args.data,
-    }
+    cfg_echo = dataclasses.asdict(cfg)
+    del cfg_echo["seed"]
+    cfg_echo.update(cfg_echo.pop("weight_config"), data=args.data)
     splits = {}
     trace_summary = None
     if params is not None:
@@ -184,14 +173,15 @@ def _cmd_train(args) -> int:
         params, trace = trainer.train(ds, cfg)
     except TrainingDivergedError as exc:
         try:
-            rep = _train_report(args, cfg, ds, eval_ds, exc.params, exc.trace)
+            with np.errstate(over="ignore"):
+                rep = _train_report(args, cfg, ds, eval_ds, exc.params, exc.trace)
         except InvalidInputError:
             # the last finite params can still score an item +-inf
             rep = _train_report(args, cfg, ds, eval_ds, None, exc.trace)
         _write_or_print(report.render(rep, args.format), args.out_report)
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    trainer.write_params(params, args.out_params)
+    scorer.write_params(params, args.out_params)
     rep = _train_report(args, cfg, ds, eval_ds, params, trace)
     _write_or_print(report.render(rep, args.format), args.out_report)
     if args.out_report is not None:
@@ -206,7 +196,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     threshold = metrics.check_tie_threshold(args.pred_tie_threshold)
     paths = [args.params] if args.compare is None else [args.params, args.compare]
-    params = [trainer.read_params(path) for path in paths]
+    params = [scorer.read_params(path) for path in paths]
     ds = data.read_dataset(args.data)
     for p in params:
         if p.dim != ds.feature_dim:
@@ -243,7 +233,7 @@ def _cmd_gradcheck(args) -> int:
     if args.tol is not None:
         if args.tol < 0:
             raise _UsageError(f"--tol must be >= 0: {args.tol}")
-        tolerances = {trainer.SCORER_LINEAR: args.tol, trainer.SCORER_MLP: args.tol}
+        tolerances = dict.fromkeys(scorer.SCORER_FAMILIES, args.tol)
     if args.instances < 1:
         raise _UsageError(f"--instances must be >= 1: {args.instances}")
     rows = trainer.gradcheck_cases(

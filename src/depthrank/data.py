@@ -16,7 +16,7 @@ File format (``depthrank.dataset.v1``) — line-delimited text:
     ...                                   (exactly m sample lines)
 
 Floats are encoded with ``float.hex`` so round-trips are bit-exact.  The
-params files of :mod:`depthrank.trainer` use the same encoding and the
+params files of :mod:`depthrank.scorer` use the same encoding and the
 same header reader.
 """
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 # cli is unused here, but the tracer wraps only modules already imported.
-from depthrank import RankedSample, cli, data, metrics, trainer  # noqa: F401
+from depthrank import cli, data, metrics, trainer  # noqa: F401
+from depthrank.core import RankedSample
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"

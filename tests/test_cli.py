@@ -4,10 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from depthrank import read_dataset, read_params, write_params
 from depthrank.cli import EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from depthrank.data import hidden_raw_scores
-from depthrank.trainer import LinearScorer
+from depthrank.data import read_dataset
+from depthrank.scorer import LinearScorer, read_params, write_params
 
 
 def run(*argv):
@@ -96,18 +95,20 @@ class TestTrainCommand:
 
     def test_divergence_exits_3_with_partial_report(self, tmp_path):
         # tied ground truth + huge lr explodes the squared pairwise branch
-        import depthrank as dr
+        from depthrank.core import RankedSample
+        from depthrank.data import Dataset, write_dataset
+        from depthrank.rng import SplitMix64
 
         samples = tuple(
-            dr.RankedSample(
+            RankedSample(
                 id=f"d{i}",
-                items=dr.SplitMix64(i).normals(8).reshape(4, 2),
+                items=SplitMix64(i).normals(8).reshape(4, 2),
                 gt_scores=[1.0, 1.0, 0.0, 0.0],
             )
             for i in range(4)
         )
         data = tmp_path / "tied.txt"
-        dr.write_dataset(dr.Dataset(samples=samples), data)
+        write_dataset(Dataset(samples=samples), data)
         report_path = tmp_path / "r.txt"
         code = run(
             "train", "--data", str(data), "--loss", "pairwise", "--lr", "1e8",
@@ -119,15 +120,19 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("loss", ["pairwise", "listnet", "listmle", "weighted-listmle"])
     def test_overflowing_step_size_exits_3_with_partial_report(self, tmp_path, loss):
+        # a child process, so that stray numpy warnings would reach the stderr checked here
         data = gen(tmp_path)
         report_path = tmp_path / "r.txt"
-        code = run(
-            "train", "--data", str(data), "--loss", loss, "--lr", "1e308",
-            "--epochs", "3", "--seed", "1",
-            "--out-params", str(tmp_path / "p.txt"), "--out-report", str(report_path),
+        proc = subprocess.run(
+            [sys.executable, "-m", "depthrank.cli", "train", "--data", str(data),
+             "--loss", loss, "--lr", "1e308", "--epochs", "3", "--seed", "1",
+             "--out-params", str(tmp_path / "p.txt"), "--out-report", str(report_path)],
+            capture_output=True, text=True,
         )
-        assert code == EXIT_DIVERGED
+        assert proc.returncode == EXIT_DIVERGED
         assert "kind=train" in report_path.read_text()
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: training diverged: "), proc.stderr
 
     def test_missing_dataset_file(self, tmp_path):
         code = run(
@@ -252,6 +257,16 @@ class TestEvalCommand:
         code = run("eval", "--params", str(params_path), "--data", str(data))
         assert code == EXIT_USAGE
         assert "feature_dim" in capsys.readouterr().err
+
+    def test_malformed_params_file_is_failure_at_its_line(self, tmp_path, capsys):
+        data = gen(tmp_path, dim=4)
+        params_path = tmp_path / "p.txt"
+        write_params(LinearScorer(w=np.zeros(4), b=0.0), params_path)
+        lines = params_path.read_text().splitlines()
+        params_path.write_text("\n".join([lines[0], "w nan 0x0p+0 0x0p+0 0x0p+0", lines[2]]))
+        code = run("eval", "--params", str(params_path), "--data", str(data))
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: line 2: ")
 
     def test_compare_dim_mismatch_is_usage_error(self, tmp_path, capsys):
         data = gen(tmp_path, dim=4)

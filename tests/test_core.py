@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthrank import (
-    InvalidInputError,
+from depthrank.core import (
     OrdinalPair,
     Permutation,
+    all_pairs,
+    label_pairs,
+    pair_arrays,
     pairs_from_permutation,
     permutation_from_scores,
 )
-from depthrank.core import all_pairs, label_pairs, pair_arrays
+from depthrank.errors import InvalidInputError
 
 import oracles
 from oracles import stable_descending_sort

@@ -3,24 +3,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from depthrank import (
+from depthrank.core import RankedSample, pairs_from_permutation, permutation_from_scores
+from depthrank.data import (
     Dataset,
-    DatasetFormatError,
-    DatasetVersionError,
-    InvalidInputError,
-    RankedSample,
-    SplitMix64,
     SyntheticSpec,
     generate_synthetic,
+    hidden_raw_scores,
     normalize_relevance,
-    pairs_from_permutation,
-    permutation_from_scores,
     read_dataset,
+    sample_pair_arrays,
     sample_points,
-    whdr,
     write_dataset,
 )
-from depthrank.data import hidden_raw_scores, sample_pair_arrays
+from depthrank.errors import DatasetFormatError, DatasetVersionError, InvalidInputError
+from depthrank.metrics import whdr
+from depthrank.rng import SplitMix64
 
 
 def small_spec(**overrides):

@@ -6,22 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthrank import (
-    InvalidInputError,
-    Permutation,
-    SplitMix64,
+from depthrank.core import Permutation, permutation_from_scores
+from depthrank.errors import InvalidInputError
+from depthrank.losses import (
+    IDENTITY_WEIGHTS,
     WeightConfig,
+    _listnet,
+    _pairwise_batch,
     listmle_loss,
     listnet_loss,
-    ndcg,
     pairwise_loss,
-    permutation_from_scores,
     plackett_luce_log_prob,
+    position_weights,
     suffix_logsumexp,
     top_one_probabilities,
     weighted_listmle_loss,
 )
-from depthrank.losses import IDENTITY_WEIGHTS, _listnet, _pairwise_batch, position_weights
+from depthrank.metrics import ndcg
+from depthrank.rng import SplitMix64
 
 import oracles
 

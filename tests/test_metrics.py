@@ -6,19 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthrank import (
-    InvalidInputError,
+from depthrank.core import (
     OrdinalPair,
     Permutation,
     RankedSample,
-    SplitMix64,
-    average_precision,
-    mean_average_precision,
-    ndcg,
     pairs_from_permutation,
     permutation_from_scores,
-    whdr,
 )
+from depthrank.errors import InvalidInputError
 from depthrank.metrics import (
     _PAIR_ROWS,
     FLAG_ALL_ZERO_GAIN,
@@ -26,8 +21,13 @@ from depthrank.metrics import (
     _ground_truth_of,
     _rank_metrics,
     _sample_map,
+    average_precision,
     evaluate,
+    mean_average_precision,
+    ndcg,
+    whdr,
 )
+from depthrank.rng import SplitMix64
 
 import oracles
 

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from depthrank import InvalidInputError, RankedSample, SplitMix64, sample_points
+from depthrank.core import RankedSample
+from depthrank.data import sample_points
+from depthrank.errors import InvalidInputError
+from depthrank.rng import SplitMix64
 
 import oracles
 

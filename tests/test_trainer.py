@@ -3,33 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from depthrank import (
-    InvalidInputError,
+from depthrank.core import RankedSample, permutation_from_scores
+from depthrank.data import Dataset, SyntheticSpec, generate_synthetic
+from depthrank.errors import InvalidInputError, TrainingDivergedError
+from depthrank.losses import listnet_loss, pairwise_loss
+from depthrank.rng import SplitMix64
+from depthrank.scorer import (
     LinearScorer,
     MlpScorer,
-    RankedSample,
-    SplitMix64,
-    TrainConfig,
-    TrainingDivergedError,
-    TrainTrace,
-    backprop,
-    generate_synthetic,
-    gradient_check,
     init_params,
-    permutation_from_scores,
+    params_to_vector,
     read_params,
     score,
-    sgd_step,
-    train,
+    vector_to_params,
     write_params,
 )
-from depthrank.data import SyntheticSpec
 from depthrank.trainer import (
     LOSS_KINDS,
+    TrainConfig,
+    TrainTrace,
+    backprop,
     gradcheck_cases,
+    gradient_check,
     loss_config,
-    params_to_vector,
-    vector_to_params,
+    make_full_target,
+    sgd_step,
+    train,
 )
 
 import oracles
@@ -156,9 +155,6 @@ class TestBackprop:
         assert gradient_check(combined, ga + gb, x0) < 1e-5
 
     def test_pairwise_mean_matches_scalar_loss(self):
-        from depthrank import pairwise_loss
-        from depthrank.trainer import make_full_target
-
         sample = make_sample(n=5, dim=2, seed=47)
         cfg = loss_config("pairwise")
         params = LinearScorer(w=np.array([0.7, -0.3]), b=0.1)
@@ -210,16 +206,12 @@ class TestGradientCheck:
         assert err < 1e-10
 
     def test_pairwise_wrapper(self):
-        from depthrank import pairwise_loss
-
         x0 = np.array([0.7, -0.4])
         res = pairwise_loss(x0[0], x0[1], 1)
         err = gradient_check(lambda v: pairwise_loss(v[0], v[1], 1).value, res.grad, x0)
         assert err < 1e-6
 
     def test_listnet_wrapper_n30(self):
-        from depthrank import listnet_loss
-
         rng = SplitMix64(48)
         gt = 3.0 * rng.normals(30)
         pred = 3.0 * rng.normals(30)
@@ -309,8 +301,6 @@ class TestTrain:
     def test_divergence_carries_partial_trace(self):
         # tied ground-truth scores produce r=0 pairs whose squared-loss
         # gradient grows with the scores, so a huge step size explodes
-        from depthrank import Dataset
-
         rng = SplitMix64(5)
         samples = tuple(
             RankedSample(
