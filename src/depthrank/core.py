@@ -15,6 +15,7 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -129,17 +130,11 @@ class OrdinalPair:
 
 @dataclass(frozen=True, eq=False)
 class RankedSample:
-    """One query: item feature vectors plus ground-truth relevance scores.
-
-    ``gt_perm`` is derived on construction by sorting ``gt_scores`` in
-    non-increasing order (ties broken by ascending item index) and is the
-    ground-truth ranking every loss and metric refers back to.
-    """
+    """One query: item feature vectors plus ground-truth relevance scores."""
 
     id: str
     items: np.ndarray
     gt_scores: np.ndarray
-    gt_perm: Permutation = field(init=False, repr=False)
 
     def __post_init__(self):
         items = np.ascontiguousarray(self.items, dtype=np.float64)
@@ -154,7 +149,12 @@ class RankedSample:
         scores.flags.writeable = False
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "gt_scores", scores)
-        object.__setattr__(self, "gt_perm", permutation_from_scores(scores))
+
+    @functools.cached_property
+    def gt_perm(self) -> Permutation:
+        """The ground-truth ranking: ``gt_scores`` in non-increasing order,
+        ties broken by ascending item index; built on first access."""
+        return permutation_from_scores(self.gt_scores)
 
     @property
     def n(self) -> int:

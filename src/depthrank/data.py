@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -64,16 +64,6 @@ class SyntheticSpec:
             )
         if not (0 <= self.seed < 2**64):
             raise InvalidInputError(f"seed must be in [0, 2^64): {self.seed}")
-
-    def to_meta(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "items_per_sample": self.items_per_sample,
-            "feature_dim": self.feature_dim,
-            "noise_sigma": self.noise_sigma,
-            "scorer_family": self.scorer_family,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +152,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         if spec.noise_sigma > 0:
             raw = raw + spec.noise_sigma * rng.normals(n)
         samples.append(RankedSample(id=f"s{idx:05d}", items=features, gt_scores=raw))
-    meta = {"format": DATASET_FORMAT, "spec": spec.to_meta(), "hidden": hidden}
+    meta = {"format": DATASET_FORMAT, "spec": asdict(spec), "hidden": hidden}
     return Dataset(samples=tuple(samples), meta=meta)
 
 
@@ -273,15 +263,14 @@ def _dataset_header(fields: dict):
 def read_dataset(path: str | os.PathLike) -> Dataset:
     """Parse a dataset file, validating structure, finiteness, and counts."""
     lines, (dim, count, meta) = _read_text(path, DATASET_FORMAT, _dataset_header, maxsplit=3)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(no, ln) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
         raise DatasetFormatError(
             f"expected {count} sample records, found {len(body)} (truncated or padded file)",
             line=len(lines),
         )
     samples = []
-    for rec_no, line in enumerate(body):
-        line_no = rec_no + 2
+    for line_no, line in body:
         tokens = line.split(" ")
         if len(tokens) < 3:
             raise DatasetFormatError("sample record needs 'id n d' prefix", line=line_no)

@@ -13,12 +13,14 @@ tie structure), so they are invariant under strictly increasing
 transforms of the scores.
 
 Cost: :func:`evaluate` scores WHDR (at ``pred_tie_threshold == 0``) and
-MAP over all cuts with a sort-based kernel over concatenated samples, a
-few thousand items per call, in O(N log N) time and O(N) memory for N
-items in total; no pair array or cut matrix is built.  WHDR at
-``pred_tie_threshold > 0`` labels every index pair of a sample, a block
-of rows of the pair triangle at a time: O(n^2) time and O(n) memory per
-sample of n items.
+MAP over all cuts with one sort-based kernel, ``_rank_metrics``.  It takes
+each sample's ground-truth scores and the concatenated predictions, a few
+thousand items per call, ranks both sides itself and returns the
+misordered and total pair counts with the per-sample MAPs, in O(N log N)
+time and O(N) memory for N items in total; no pair array or cut matrix is
+built.  WHDR at ``pred_tie_threshold > 0`` labels every index pair of a
+sample, a block of rows of the pair triangle at a time: O(n^2) time and
+O(n) memory per sample of n items.
 """
 
 from __future__ import annotations
@@ -128,9 +130,11 @@ def average_precision(binary_labels) -> float:
 
 
 def _sample_map(gt_perm: Permutation, pred_scores: np.ndarray) -> float:
-    """Mean AP over ground-truth cut points 1..n-1 for one sample."""
-    gt = _ground_truth([len(gt_perm)], gt_perm.inverse_array)
-    return float(_rank_metrics(gt, pred_scores)[1][0])
+    """Mean AP over ground-truth cut points 1..n-1 for one sample.
+
+    The negated ranks are distinct scores that sort into ``gt_perm``.
+    """
+    return float(_rank_metrics([-gt_perm.inverse_array], pred_scores)[2][0])
 
 
 def mean_average_precision(samples: Sequence[tuple[Permutation, object]]) -> float:
@@ -208,10 +212,10 @@ def evaluate(
     wrong = pairs = 0
     maps = []
     for lo, hi in zip([0, *cuts], [*cuts, len(samples)]):
-        gt = _ground_truth_of([s.gt_scores for s in samples[lo:hi]])
-        w, m = _rank_metrics(gt, np.concatenate(preds[lo:hi]))
+        w, p, m = _rank_metrics([s.gt_scores for s in samples[lo:hi]],
+                                np.concatenate(preds[lo:hi]))
         wrong += w
-        pairs += gt.pairs
+        pairs += p
         maps.extend(m.tolist())
     if threshold > 0.0:
         # "Within the threshold" is not transitive, so no sort can count it.
@@ -240,32 +244,6 @@ def _misordered_within(gt: np.ndarray, z: np.ndarray, threshold: float) -> int:
     return wrong
 
 
-@dataclass(frozen=True)
-class _GroundTruth:
-    """What the rank kernel needs from the ground truth of a batch of samples.
-
-    The items of all samples are concatenated in sample order; ``seg``
-    keys each item by its sample.
-    """
-
-    sizes: np.ndarray      # (S,) items per sample
-    seg: np.ndarray        # (N,) sample of each item
-    local: np.ndarray      # (N,) 0-based position of each item within its sample
-    rank: np.ndarray       # (N,) 1-based ground-truth rank, ``gt_perm`` tie-break
-    tail: np.ndarray       # (N,) T(local + 1), where T(m) = sum_{k=m}^{n-1} 1/k
-    rank_tail: np.ndarray  # (N,) T(rank)
-    pairs: int             # index pairs over all samples
-    tie_pairs: int         # of which tied in the ground truth
-    tie_class: np.ndarray | None  # (N,) batch-wide id of the item's ground-truth score
-
-
-def _layout(sizes: np.ndarray):
-    """(seg, local) for samples of the given sizes laid end to end."""
-    seg = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    starts = np.cumsum(sizes) - sizes
-    return seg, np.arange(seg.size, dtype=np.int64) - starts[seg]
-
-
 def _run_starts(local: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     """Where runs of equal keys start in a sequence grouped by sample."""
     first = local == 0
@@ -278,39 +256,6 @@ def _tied_pairs(first: np.ndarray) -> int:
     """Pairs inside the runs of a sequence; ``first`` marks where runs start."""
     runs = np.diff(np.append(np.flatnonzero(first), first.size))
     return int((runs * (runs - 1) // 2).sum())
-
-
-def _ground_truth(sizes, rank, tie_class=None, tie_pairs: int = 0) -> _GroundTruth:
-    """Kernel input from concatenated 1-based ranks and, for WHDR, tie classes."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    rank = np.asarray(rank, dtype=np.int64)
-    seg, local = _layout(sizes)
-    starts = np.cumsum(sizes) - sizes
-    # T(m) at m = local + 1: a suffix sum of 1/k within each sample, with
-    # T(n) = 0, taken as the batch's suffix sum minus the next sample's.
-    recip = np.where(local + 1 < sizes[seg], 1.0 / (local + 1), 0.0)
-    suffix = np.cumsum(recip[::-1])[::-1]
-    tail = suffix - np.append(suffix[starts[1:]], 0.0)[seg]
-    return _GroundTruth(
-        sizes=sizes, seg=seg, local=local, rank=rank, tail=tail,
-        rank_tail=tail[starts[seg] + rank - 1],
-        pairs=int((sizes * (sizes - 1) // 2).sum()),
-        tie_pairs=tie_pairs, tie_class=tie_class,
-    )
-
-
-def _ground_truth_of(gt_scores: Sequence[np.ndarray]) -> _GroundTruth:
-    """Kernel input for the ground-truth scores of a batch of samples."""
-    sizes = np.array([s.size for s in gt_scores], dtype=np.int64)
-    scores = np.concatenate(gt_scores)
-    seg, local = _layout(sizes)
-    order = np.lexsort((-scores, seg))
-    first = _run_starts(local, scores[order])
-    rank = np.empty(scores.size, dtype=np.int64)
-    rank[order] = local + 1
-    tie_class = np.empty(scores.size, dtype=np.int64)
-    tie_class[order] = np.cumsum(first) - 1
-    return _ground_truth(sizes, rank, tie_class, _tied_pairs(first))
 
 
 def _earlier(key: np.ndarray, bits: int, weights: np.ndarray):
@@ -359,31 +304,49 @@ def _earlier(key: np.ndarray, bits: int, weights: np.ndarray):
     return out_smaller, out_larger
 
 
-def _rank_metrics(gt: _GroundTruth, z: np.ndarray):
-    """(misordered pairs at tie threshold 0, per-sample MAP over all cuts).
+def _rank_metrics(gt_scores: Sequence[np.ndarray], z: np.ndarray):
+    """(misordered pairs at tie threshold 0, index pairs, per-sample MAP
+    over all cuts) for a batch of samples.
 
-    ``z`` holds the predicted scores of ``gt``'s items, concatenated.  The
-    count is ``None`` when ``gt`` has no tie classes.
+    ``gt_scores`` holds each sample's ground-truth scores and ``z`` the
+    predicted scores of all their items, concatenated in sample order.
+    Ground-truth ranks break ties by ascending index, as ``gt_perm`` does.
 
     With p the 1-based predicted position (descending, ascending-index
     tie-break) and g_p the ground-truth rank of the item there, the APs
-    summed over all cuts are ``sum_p (1/p) [(A_p + 1) T(g_p) + S_p]``:
-    ``A_p`` counts earlier positions with a smaller rank and ``S_p`` sums
-    ``T(g_q)`` over earlier positions with a larger one.
+    summed over all cuts are ``sum_p (1/p) [(A_p + 1) T(g_p) + S_p]``,
+    where ``T(m) = sum_{k=m}^{n-1} 1/k``: ``A_p`` counts earlier positions
+    with a smaller rank and ``S_p`` sums ``T(g_q)`` over earlier positions
+    with a larger one.
     """
-    seg, local = gt.seg, gt.local
-    bits = int(gt.sizes.max() - 1).bit_length()
+    sizes = np.array([s.size for s in gt_scores], dtype=np.int64)
+    scores = np.concatenate(gt_scores)
+    seg = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    starts = np.cumsum(sizes) - sizes
+    local = np.arange(seg.size, dtype=np.int64) - starts[seg]
+    bits = int(sizes.max() - 1).bit_length()
+    # Ground-truth ranks and tie classes, numbered batch-wide.
+    gt_order = np.lexsort((-scores, seg))
+    gt_first = _run_starts(local, scores[gt_order])
+    rank = np.empty(scores.size, dtype=np.int64)
+    rank[gt_order] = local + 1
+    gt_class = np.empty(scores.size, dtype=np.int64)
+    gt_class[gt_order] = np.cumsum(gt_first) - 1
+    # T(local + 1): a suffix sum of 1/k within each sample, with T(n) = 0,
+    # taken as the batch's suffix sum minus the next sample's.
+    recip = np.where(local + 1 < sizes[seg], 1.0 / (local + 1), 0.0)
+    suffix = np.cumsum(recip[::-1])[::-1]
+    tail = suffix - np.append(suffix[starts[1:]], 0.0)[seg]
+    rank_tail = tail[starts[seg] + rank - 1]
     order = np.lexsort((-z, seg))
-    t = gt.rank_tail[order]
-    a, s = _earlier((seg << bits) | (gt.rank[order] - 1), bits, t)
+    t = rank_tail[order]
+    a, s = _earlier((seg << bits) | (rank[order] - 1), bits, t)
     # A perfect ranking scores p T(p) at every position, and those sum to
     # n - 1; summing the shortfall per position makes it score 1 exactly.
-    perfect = gt.tail * (local + 1)
+    perfect = tail * (local + 1)
     shortfall = np.bincount(seg, weights=((a + 1) * t + s - perfect) / (local + 1),
-                            minlength=gt.sizes.size)
-    maps = np.clip(1.0 + shortfall / (gt.sizes - 1), 0.0, 1.0)
-    if gt.tie_class is None:
-        return None, maps
+                            minlength=sizes.size)
+    maps = np.clip(1.0 + shortfall / (sizes - 1), 0.0, 1.0)
     # Pred tie classes, numbered batch-wide in descending score order.
     first = _run_starts(local, z[order])
     seq_class = np.cumsum(first) - 1
@@ -392,9 +355,10 @@ def _rank_metrics(gt: _GroundTruth, z: np.ndarray):
     pred_class[order] = seq_class
     # Sorted by (gt class, pred class), a discordant pair is exactly an
     # earlier item with a strictly larger pred class.
-    joint = np.lexsort((pred_class, gt.tie_class))
+    joint = np.lexsort((pred_class, gt_class))
     c = pred_class[joint]
-    joint_ties = _tied_pairs(_run_starts(local, c, gt.tie_class[joint]))
+    joint_ties = _tied_pairs(_run_starts(local, c, gt_class[joint]))
     value = c - seq_class[local == 0][seg]
     discordant = int(_earlier((seg << bits) | value, bits, np.ones(c.size))[1].sum())
-    return discordant + gt.tie_pairs + pred_ties - 2 * joint_ties, maps
+    wrong = discordant + _tied_pairs(gt_first) + pred_ties - 2 * joint_ties
+    return wrong, int((sizes * (sizes - 1) // 2).sum()), maps

@@ -6,13 +6,17 @@ to :mod:`depthrank.scorer`; this module trains them.  Backprop composes
 the score-gradient of a loss kernel from :mod:`depthrank.losses` with the
 scorer Jacobian; no autodiff is involved, so :func:`gradient_check`
 (central finite differences over the full parameter vector) is the
-correctness oracle.  A :class:`Target` holds one sample's kernel inputs.
+correctness oracle.  A :class:`Target` holds one sample's kernel inputs,
+and :func:`draw_target` builds every one of them: a per-epoch draw from
+the stream, or the whole sample when no stream is given.
 
 Training is plain mini-batch SGD with classic momentum, fully
 deterministic given the config seed: sample order, per-epoch point/pair
 subsampling, and MLP initialization all flow from one
 :class:`~depthrank.rng.SplitMix64` stream.  A non-finite batch loss,
 gradient or parameter vector raises :class:`TrainingDivergedError`.
+Per-epoch trace metrics (WHDR and MAP on the first :data:`EVAL_SAMPLES`
+training samples) come from the rank kernel of :mod:`depthrank.metrics`.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import RankedSample, all_pairs, permutation_from_scores
+from .core import RankedSample, all_pairs
 from .data import Dataset, normalize_relevance, sample_pair_arrays, sample_points
 from .errors import InvalidInputError, TrainingDivergedError
-from .losses import WeightConfig, _listnet, _pairwise_batch, _weighted_nll, position_weights
-from .metrics import _GroundTruth, _ground_truth_of, _rank_metrics
+from .losses import (IDENTITY_WEIGHTS, WeightConfig, _listnet, _pairwise_batch, _weighted_nll,
+                     position_weights)
+from .metrics import _rank_metrics
 from .rng import SplitMix64
 from .scorer import (SCORER_FAMILIES, SCORER_LINEAR, SCORER_MLP, ScorerParams,
                      _param_grad_from_scores, init_params, params_to_vector, random_params,
@@ -110,34 +115,30 @@ class Target:
     args: tuple
 
 
-def make_listwise_target(
-    sample: RankedSample, cfg: TrainConfig, points: np.ndarray | None
-) -> Target:
-    gt_sub = sample.gt_scores if points is None else sample.gt_scores[points]
-    if cfg.loss == LOSS_LISTNET:
-        return Target(points, (gt_sub,))
-    order = (sample.gt_perm if points is None else permutation_from_scores(gt_sub)).order_array
-    if cfg.loss == LOSS_LISTMLE:
-        return Target(points, (order, np.ones(order.size)))
-    relevance = normalize_relevance(gt_sub)
-    return Target(points, (order, position_weights(cfg.weight_config, relevance[order])))
+def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64 | None = None) -> Target:
+    """One sample's loss input.
 
-
-def make_full_target(sample: RankedSample, cfg: TrainConfig) -> Target:
-    """Deterministic whole-sample target (used by gradient checks)."""
+    With ``rng``, a per-epoch draw: ``pairs_per_sample`` pairs, or
+    ``points_per_sample`` items when the sample has more.  Without it, the
+    whole sample, every pair for the pairwise loss.
+    """
     if cfg.loss == LOSS_PAIRWISE:
+        if rng is not None:
+            return Target(None, sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, rng))
         if sample.n < 2:
             raise InvalidInputError("pairwise loss needs samples with >= 2 items")
         return Target(None, all_pairs(sample.gt_scores))
-    return make_listwise_target(sample, cfg, None)
-
-
-def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64) -> Target:
-    """Per-epoch stochastic target: point subset or pair sample."""
-    if cfg.loss == LOSS_PAIRWISE:
-        return Target(None, sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, rng))
-    k = min(cfg.points_per_sample, sample.n)
-    return make_listwise_target(sample, cfg, sample_points(sample, k, rng))
+    points = None
+    gt = sample.gt_scores
+    if rng is not None and cfg.points_per_sample < sample.n:
+        points = sample_points(sample, cfg.points_per_sample, rng)
+        gt = gt[points]
+    if cfg.loss == LOSS_LISTNET:
+        return Target(points, (gt,))
+    # permutation_from_scores' order: a stable sort ranks tied items by index.
+    order = np.argsort(-gt, kind="stable")
+    weights = IDENTITY_WEIGHTS if cfg.loss == LOSS_LISTMLE else cfg.weight_config
+    return Target(points, (order, position_weights(weights, normalize_relevance(gt)[order])))
 
 
 def backprop(
@@ -150,7 +151,7 @@ def backprop(
     at each call, so a wrapper installed on one sees every call.
     """
     if target is None:
-        target = make_full_target(sample, cfg)
+        target = draw_target(sample, cfg)
     x = sample.items if target.points is None else sample.items[target.points]
     z = score(params, x)
     if cfg.loss == LOSS_PAIRWISE:
@@ -177,8 +178,10 @@ def sgd_step(
         raise InvalidInputError("parameter, gradient, and velocity shapes must match")
     if not np.isfinite(grad).all():
         raise TrainingDivergedError("non-finite gradient in SGD step")
-    new_velocity = momentum * velocity - learning_rate * grad
-    new_vec = vec + new_velocity
+    # an overflowing update is reported below, not as a numpy warning
+    with np.errstate(over="ignore"):
+        new_velocity = momentum * velocity - learning_rate * grad
+        new_vec = vec + new_velocity
     if not np.isfinite(new_vec).all():
         raise TrainingDivergedError("non-finite parameters after SGD step")
     return new_vec, new_velocity
@@ -186,10 +189,9 @@ def sgd_step(
 
 @dataclass(frozen=True)
 class _EvalContext:
-    """Trace-metric samples with the ground-truth side of the metric kernel."""
+    """The samples trace metrics are computed on."""
 
     samples: tuple[RankedSample, ...]
-    gt: _GroundTruth
     # Always empty: perfbench's tracer reports the summed nbytes of these.
     pair_i: tuple[np.ndarray, ...] = ()
     pair_j: tuple[np.ndarray, ...] = ()
@@ -197,13 +199,13 @@ class _EvalContext:
 
 
 def _make_eval_context(samples: Sequence[RankedSample]) -> _EvalContext:
-    return _EvalContext(tuple(samples), _ground_truth_of([s.gt_scores for s in samples]))
+    return _EvalContext(tuple(samples))
 
 
 def _trace_eval(params: ScorerParams, ctx: _EvalContext) -> tuple[float, float]:
     z = np.concatenate([score(params, s.items) for s in ctx.samples])
-    wrong, maps = _rank_metrics(ctx.gt, z)
-    return wrong / ctx.gt.pairs, math.fsum(maps.tolist()) / len(maps)
+    wrong, pairs, maps = _rank_metrics([s.gt_scores for s in ctx.samples], z)
+    return wrong / pairs, math.fsum(maps.tolist()) / len(maps)
 
 
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]:
@@ -228,7 +230,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     # Static listwise targets when the subset is the whole sample anyway.
     static_targets = None
     if cfg.loss != LOSS_PAIRWISE and cfg.points_per_sample >= max(s.n for s in dataset.samples):
-        static_targets = [make_listwise_target(s, cfg, None) for s in dataset.samples]
+        static_targets = [draw_target(s, cfg) for s in dataset.samples]
     eval_ctx = _make_eval_context(dataset.samples[:EVAL_SAMPLES])
     trace = TrainTrace()
     try:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from depthrank.core import (
     OrdinalPair,
     Permutation,
+    RankedSample,
     all_pairs,
     label_pairs,
     pair_arrays,
@@ -177,6 +178,25 @@ class TestPermutation:
         perm = Permutation(order)
         order[0] = 0
         assert perm.order == (1, 0) and perm.order_array.tolist() == [1, 0]
+
+
+class TestRankedSampleGtPerm:
+    def test_built_on_first_access_from_the_scores(self):
+        gt = [2.0, 5.0, 2.0, -1.0, 5.0]
+        s = RankedSample(id="s", items=np.eye(5), gt_scores=gt)
+        assert "gt_perm" not in vars(s)
+        assert s.gt_perm == permutation_from_scores(gt)
+        assert s.gt_perm.order == (1, 4, 0, 2, 3)
+        assert s.gt_perm is s.gt_perm
+
+    def test_equality_and_repr_ignore_it(self):
+        a = RankedSample(id="s", items=np.eye(3), gt_scores=[1.0, 3.0, 2.0])
+        b = RankedSample(id="s", items=np.eye(3), gt_scores=[1.0, 3.0, 2.0])
+        before = repr(a)
+        assert "gt_perm" not in before
+        a.gt_perm
+        assert repr(a) == before == repr(b)
+        assert a == b and b == a
 
 
 class TestOrdinalPair:

@@ -266,6 +266,21 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="line 2"):
             read_dataset(path)
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        one = float(1.0).hex()
+        lines = [
+            "depthrank.dataset.v1 dim=2 samples=3 meta={}",
+            f"s0 1 2 {one} {one} {one}",
+            "",
+            f"s1 1 2 {one} {one} {one}",
+            f"s2 1 2 {one} zzz {one}",
+        ]
+        path = tmp_path / "b.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="line 5") as info:
+            read_dataset(path)
+        assert info.value.line == 5
+
     def test_rejects_whitespace_ids(self, tmp_path):
         s = make_sample()
         ds = Dataset(samples=(RankedSample(id="a b", items=s.items, gt_scores=s.gt_scores),))

@@ -18,7 +18,6 @@ from depthrank.metrics import (
     _PAIR_ROWS,
     FLAG_ALL_ZERO_GAIN,
     FLAG_DEGENERATE_PRED_TIES,
-    _ground_truth_of,
     _rank_metrics,
     _sample_map,
     average_precision,
@@ -291,9 +290,8 @@ def ragged_batches(draw, max_n=12):
 
 
 def kernel(batch):
-    """(misordered pairs, per-sample MAPs) from the vectorised kernel."""
-    gt = _ground_truth_of([g for g, _ in batch])
-    return _rank_metrics(gt, np.concatenate([p for _, p in batch]))
+    """(misordered pairs, pairs, per-sample MAPs) from the vectorised kernel."""
+    return _rank_metrics([g for g, _ in batch], np.concatenate([p for _, p in batch]))
 
 
 def gt_rank(gt):
@@ -305,8 +303,10 @@ def gt_rank(gt):
 
 class TestRankKernel:
     def check(self, batch):
-        wrong, maps = kernel(batch)
-        assert wrong == sum(oracles.dense_whdr_counts(g, p)[0] for g, p in batch)
+        wrong, pairs, maps = kernel(batch)
+        counts = [oracles.dense_whdr_counts(g, p) for g, p in batch]
+        assert wrong == sum(c[0] for c in counts)
+        assert pairs == sum(c[1] for c in counts)
         assert maps.shape == (len(batch),)
         for (g, p), got in zip(batch, maps):
             assert 0.0 <= got <= 1.0
@@ -331,8 +331,7 @@ class TestRankKernel:
 
     def test_all_equal_scores(self):
         batch = [(np.full(n, 3.0), np.full(n, -1.0)) for n in (2, 5, 17)]
-        wrong, maps = kernel(batch)
-        assert wrong == 0
+        assert kernel(batch)[0] == 0
         self.check(batch)
 
     def test_signed_zeros_tie(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from depthrank.core import RankedSample, permutation_from_scores
 from depthrank.data import Dataset, SyntheticSpec, generate_synthetic
 from depthrank.errors import InvalidInputError, TrainingDivergedError
 from depthrank.losses import listnet_loss, pairwise_loss
+from depthrank.metrics import _KERNEL_ITEMS, evaluate
 from depthrank.rng import SplitMix64
 from depthrank.scorer import (
     LinearScorer,
@@ -26,7 +28,9 @@ from depthrank.trainer import (
     gradcheck_cases,
     gradient_check,
     loss_config,
-    make_full_target,
+    _make_eval_context,
+    _trace_eval,
+    draw_target,
     sgd_step,
     train,
 )
@@ -160,11 +164,65 @@ class TestBackprop:
         params = LinearScorer(w=np.array([0.7, -0.3]), b=0.1)
         value, _ = backprop(params, sample, cfg)
         z = score(params, sample.items)
-        target = make_full_target(sample, cfg)
+        target = draw_target(sample, cfg)
         per_pair = [
             pairwise_loss(z[i], z[j], int(r)).value for i, j, r in zip(*target.args)
         ]
         assert value == pytest.approx(sum(per_pair) / len(per_pair), rel=1e-12)
+
+
+def same_target(a, b):
+    if (a.points is None) != (b.points is None):
+        return False
+    if a.points is not None and not np.array_equal(a.points, b.points):
+        return False
+    return len(a.args) == len(b.args) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a.args, b.args)
+    )
+
+
+class TestDrawTarget:
+    @pytest.mark.parametrize("loss", ["listnet", "listmle", "weighted-listmle"])
+    @pytest.mark.parametrize("points", [8, 9, 500])
+    def test_whole_sample_draws_nothing(self, loss, points):
+        # The pairwise loss always draws pairs_per_sample pairs.
+        sample = make_sample(n=8)
+        cfg = TrainConfig(loss=loss, learning_rate=0.1, epochs=1, seed=0,
+                          points_per_sample=points)
+        rng = SplitMix64(12)
+        drawn = draw_target(sample, cfg, rng)
+        assert same_target(drawn, draw_target(sample, cfg))
+        assert rng.next_u64() == SplitMix64(12).next_u64()
+
+    def test_subset_order_is_the_ground_truth_permutation_of_the_subset(self):
+        sample = make_sample(n=9, seed=13)
+        cfg = TrainConfig(loss="weighted-listmle", learning_rate=0.1, epochs=1, seed=0,
+                          points_per_sample=5)
+        target = draw_target(sample, cfg, SplitMix64(14))
+        assert target.points.size == 5
+        sub = sample.gt_scores[target.points]
+        assert target.args[0].tolist() == list(permutation_from_scores(sub).order)
+
+    def test_plain_listmle_weights_are_ones(self):
+        sample = make_sample(n=8, seed=15)
+        cfg = loss_config("listmle")
+        _, weights = draw_target(sample, cfg).args
+        assert weights.tolist() == [1.0] * sample.n
+
+    def test_whole_sample_pairwise_needs_two_items(self):
+        sample = RankedSample(id="one", items=np.ones((1, 2)), gt_scores=[1.0])
+        with pytest.raises(InvalidInputError):
+            draw_target(sample, loss_config("pairwise"))
+
+
+class TestTraceEval:
+    def test_matches_evaluate_bit_for_bit(self):
+        ds = tiny_dataset(n_samples=7, items_per_sample=9, noise_sigma=0.5)
+        assert sum(s.n for s in ds.samples) < _KERNEL_ITEMS
+        params = LinearScorer(w=SplitMix64(16).normals(3), b=0.0)
+        got = _trace_eval(params, _make_eval_context(ds.samples))
+        report = evaluate(ds.samples, [score(params, s.items) for s in ds.samples])
+        assert got == (report.whdr, report.map)
 
 
 class TestSgdStep:
@@ -195,8 +253,10 @@ class TestSgdStep:
 
     def test_overflowing_update_raises(self):
         # finite gradient, but the step pushes the parameter past the float range
-        with pytest.raises(TrainingDivergedError):
-            sgd_step(np.array([1e308]), np.array([-1.0]), 1e308, 0.0, np.zeros(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError):
+                sgd_step(np.array([1e308]), np.array([-1.0]), 1e308, 0.0, np.zeros(1))
 
 
 class TestGradientCheck:
