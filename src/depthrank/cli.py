@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import data, metrics, report, scorer, trainer
+from . import data, losses, metrics, report, scorer, trainer
 from .errors import DepthRankError, InvalidInputError, TrainingDivergedError
 
 EXIT_OK = 0
@@ -62,11 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--scorer", choices=list(scorer.SCORER_FAMILIES),
                     default=scorer.SCORER_LINEAR)
     pt.add_argument("--hidden", type=int, default=16)
-    pt.add_argument("--gain", choices=["identity-one", "two-pow-minus-one"],
-                    default="two-pow-minus-one")
-    pt.add_argument("--discount", choices=["identity-one", "inverse-log"],
-                    default="inverse-log")
-    pt.add_argument("--log-base", type=float, default=2.0)
+    weights = losses.WeightConfig()
+    pt.add_argument("--gain", choices=losses._GAIN_KINDS, default=weights.gain)
+    pt.add_argument("--discount", choices=losses._DISCOUNT_KINDS, default=weights.discount)
+    pt.add_argument("--log-base", type=float, default=weights.log_base)
     pt.add_argument("--eval-data", default=None)
     pt.add_argument("--out-params", required=True)
     pt.add_argument("--out-report", default=None)
@@ -123,6 +122,13 @@ def _scores_for(params, ds: data.Dataset) -> list[np.ndarray]:
     return [scorer.score(params, s.items) for s in ds.samples]
 
 
+def _check_dim(owner: str, dim: int, ds: data.Dataset, path: str) -> None:
+    if dim != ds.feature_dim:
+        raise _UsageError(
+            f"{owner} feature_dim {dim} but dataset {path} has feature_dim {ds.feature_dim}"
+        )
+
+
 def _train_config(args) -> trainer.TrainConfig:
     return trainer.TrainConfig(
         loss=args.loss,
@@ -133,7 +139,7 @@ def _train_config(args) -> trainer.TrainConfig:
         seed=args.seed,
         points_per_sample=args.points,
         pairs_per_sample=args.pairs,
-        weight_config=trainer.WeightConfig(
+        weight_config=losses.WeightConfig(
             gain=args.gain, discount=args.discount, log_base=args.log_base
         ),
         scorer=args.scorer,
@@ -169,6 +175,9 @@ def _cmd_train(args) -> int:
     cfg = _train_config(args)
     ds = data.read_dataset(args.data)
     eval_ds = data.read_dataset(args.eval_data) if args.eval_data else None
+    if eval_ds is not None:
+        _check_dim(f"training data {args.data} has", ds.feature_dim, eval_ds, args.eval_data)
+        metrics.check_evaluable(eval_ds.samples)
     try:
         params, trace = trainer.train(ds, cfg)
     except TrainingDivergedError as exc:
@@ -199,11 +208,7 @@ def _cmd_eval(args) -> int:
     params = [scorer.read_params(path) for path in paths]
     ds = data.read_dataset(args.data)
     for p in params:
-        if p.dim != ds.feature_dim:
-            raise _UsageError(
-                f"params expect feature_dim {p.dim} but dataset {args.data} "
-                f"has feature_dim {ds.feature_dim}"
-            )
+        _check_dim("params expect", p.dim, ds, args.data)
     reps = [
         metrics.evaluate(ds.samples, _scores_for(p, ds), pred_tie_threshold=threshold)
         for p in params

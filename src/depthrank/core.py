@@ -7,7 +7,8 @@ be ranked closer to the top.  Predicted scores are plain float64 arrays
 validated through :func:`as_score_vector`.  Ranks are 1-based in the
 public contract; item indices are 0-based.  :func:`label_pairs` is the one
 place a score difference becomes an ordinal label (+1, -1 or 0), for the
-ground truth and for predictions alike.
+ground truth and for predictions alike; a set of labelled pairs is always
+the three equal-length integer arrays ``(i, j, r)`` of :func:`all_pairs`.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,24 +110,6 @@ class Permutation:
         return len(self.order)
 
 
-@dataclass(frozen=True, slots=True)
-class OrdinalPair:
-    """One annotated item pair: ``r=+1`` means item i ranks higher (closer),
-    ``r=-1`` means item j does, ``r=0`` means they tie."""
-
-    i: int
-    j: int
-    r: int
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise InvalidInputError(f"pair indices must differ: ({self.i}, {self.j})")
-        if self.i < 0 or self.j < 0:
-            raise InvalidInputError(f"pair indices must be >= 0: ({self.i}, {self.j})")
-        if self.r not in (-1, 0, 1):
-            raise InvalidInputError(f"ordinal label must be +1, -1 or 0: {self.r!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class RankedSample:
     """One query: item feature vectors plus ground-truth relevance scores."""
@@ -184,25 +166,31 @@ def permutation_from_scores(scores) -> Permutation:
     return Permutation(np.argsort(-arr, kind="stable"))
 
 
-def pairs_from_permutation(perm: Permutation, gt_scores) -> list[OrdinalPair]:
-    """All unordered index pairs of a sample as labeled :class:`OrdinalPair`.
-
-    Pairs are emitted in (low index, high index) orientation, labelled by
-    :func:`all_pairs` from the ground-truth scores.
-    """
+def pairs_from_permutation(perm: Permutation, gt_scores):
+    """``all_pairs(gt_scores)``: (i, j, r) arrays of every index pair of the
+    sample.  ``perm`` only fixes the length."""
     scores = as_score_vector(gt_scores, n=len(perm))
     if scores.size < 2:
         raise InvalidInputError("need at least two items to form pairs")
-    i, j, r = all_pairs(scores)
-    return [OrdinalPair(*p) for p in zip(i.tolist(), j.tolist(), r.tolist())]
+    return all_pairs(scores)
 
 
-def pair_arrays(pairs: Sequence[OrdinalPair] | Iterable[OrdinalPair]):
-    """Split pairs into (i, j, r) index/label arrays for vectorized use."""
-    pairs = list(pairs)
-    if not pairs:
-        raise InvalidInputError("pair list must not be empty")
-    i = np.fromiter((p.i for p in pairs), dtype=np.intp, count=len(pairs))
-    j = np.fromiter((p.j for p in pairs), dtype=np.intp, count=len(pairs))
-    r = np.fromiter((p.r for p in pairs), dtype=np.int64, count=len(pairs))
+def check_pairs(pairs, n: int):
+    """``pairs`` as (i, j, r) arrays over ``n`` items, once checked: distinct
+    in-range indices, labels in {-1, 0, 1}, at least one pair."""
+    try:
+        i, j, r = pairs
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"pairs must be (i, j, r) arrays: {exc}") from exc
+    if not (all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in (i, j, r))
+            and i.ndim == 1 and i.shape == j.shape == r.shape):
+        raise InvalidInputError("pairs must be three equal-length 1-D integer arrays")
+    if i.size == 0:
+        raise InvalidInputError("pair set must not be empty")
+    if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n:
+        raise InvalidInputError(f"pair indices must lie in [0, {n})")
+    if np.any(i == j):
+        raise InvalidInputError("pair indices must differ")
+    if r.min() < -1 or r.max() > 1:
+        raise InvalidInputError("ordinal labels must be +1, -1 or 0")
     return i, j, r

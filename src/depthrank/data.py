@@ -235,6 +235,15 @@ def _parse_floats(tokens: Iterable[str], line_no: int) -> np.ndarray:
         raise DatasetFormatError(f"bad float token: {exc}", line=line_no) from exc
 
 
+def _ascii(raw: bytes) -> str:
+    """``raw`` as ASCII text; a non-ASCII byte is a format error at its line."""
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("ascii") + ".").splitlines())
+        raise DatasetFormatError(f"non-ASCII byte 0x{raw[exc.start]:02x}", line=line) from None
+
+
 def _read_text(path: str | os.PathLike, fmt: str, parse_header: Callable[[dict], tuple],
                maxsplit: int = -1) -> tuple[list[str], tuple]:
     """The lines of a text file whose first line is ``<fmt> key=value ...``,
@@ -243,8 +252,8 @@ def _read_text(path: str | os.PathLike, fmt: str, parse_header: Callable[[dict],
     The header is split at spaces, at most ``maxsplit`` times.  A missing
     or unparsable field is a :class:`DatasetFormatError` at line 1.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        lines = _ascii(fh.read()).splitlines()
     if not lines:
         raise DatasetFormatError("empty file", line=1)
     header = lines[0].split(" ", maxsplit)

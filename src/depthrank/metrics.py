@@ -31,14 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    OrdinalPair,
-    Permutation,
-    RankedSample,
-    as_score_vector,
-    label_pairs,
-    pair_arrays,
-)
+from .core import Permutation, RankedSample, as_score_vector, check_pairs, label_pairs
 from .data import normalize_relevance
 from .errors import InvalidInputError
 from .losses import _discounts, _gains
@@ -91,20 +84,24 @@ def whdr_from_arrays(
     return int(np.count_nonzero(pred != r)), int(r.size)
 
 
-def whdr(
-    pairs: Sequence[OrdinalPair], pred_scores, pred_tie_threshold: float = 0.0
-) -> float:
-    """Fraction of pairs whose predicted ordinal label disagrees with ``r``.
+def check_evaluable(samples: Sequence[RankedSample]) -> None:
+    """Reject samples :func:`evaluate` cannot score: WHDR and MAP need two items."""
+    for sample in samples:
+        if sample.n < 2:
+            raise InvalidInputError(f"sample {sample.id!r} has fewer than two items")
 
-    A pair is predicted ``+1``/``-1`` when the score difference exceeds
-    ``pred_tie_threshold`` in magnitude, ``0`` otherwise.
+
+def whdr(pairs, pred_scores, pred_tie_threshold: float = 0.0) -> float:
+    """Fraction of the pairs whose predicted ordinal label disagrees with ``r``.
+
+    ``pairs`` is ``(i, j, r)``: three equal-length integer arrays, as
+    :func:`~depthrank.core.all_pairs` returns them.  A pair is predicted
+    ``+1``/``-1`` when the score difference exceeds ``pred_tie_threshold``
+    in magnitude, ``0`` otherwise.
     """
     pred_tie_threshold = check_tie_threshold(pred_tie_threshold)
     z = as_score_vector(pred_scores)
-    i, j, r = pair_arrays(pairs)
-    if i.size and (int(i.max()) >= z.size or int(j.max()) >= z.size):
-        raise InvalidInputError("pair index out of range for the score vector")
-    wrong, total = whdr_from_arrays(i, j, r, z, pred_tie_threshold)
+    wrong, total = whdr_from_arrays(*check_pairs(pairs, z.size), z, pred_tie_threshold)
     return wrong / total
 
 
@@ -195,10 +192,9 @@ def evaluate(
     preds = []
     ndcgs = []
     flags = set()
+    check_evaluable(samples)
     for sample, pred in zip(samples, predictions):
         z = as_score_vector(pred, n=sample.n)
-        if sample.n < 2:
-            raise InvalidInputError(f"sample {sample.id!r} has fewer than two items")
         rel = normalize_relevance(sample.gt_scores)
         if rel.max() == 0.0:
             flags.add(FLAG_ALL_ZERO_GAIN)

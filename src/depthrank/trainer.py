@@ -33,7 +33,7 @@ from .data import Dataset, normalize_relevance, sample_pair_arrays, sample_point
 from .errors import InvalidInputError, TrainingDivergedError
 from .losses import (IDENTITY_WEIGHTS, WeightConfig, _listnet, _pairwise_batch, _weighted_nll,
                      position_weights)
-from .metrics import _rank_metrics
+from .metrics import _rank_metrics, check_evaluable
 from .rng import SplitMix64
 from .scorer import (SCORER_FAMILIES, SCORER_LINEAR, SCORER_MLP, ScorerParams,
                      _param_grad_from_scores, init_params, params_to_vector, random_params,
@@ -214,14 +214,14 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     Listwise losses redraw ``points_per_sample`` item subsets per sample
     per epoch (the whole sample when it is at least as large); the
     pairwise loss redraws ``pairs_per_sample`` pairs.  Batch losses are
-    means over the samples of the batch.  Raises
-    :class:`TrainingDivergedError` (carrying the partial trace and last
-    finite params) when a loss, gradient or parameter vector goes non-finite.
+    means over the samples of the batch.  Raises :class:`InvalidInputError`
+    before training when a sample has one item, which trace eval cannot
+    score, and :class:`TrainingDivergedError` (carrying the partial trace and
+    last finite params) when a loss, gradient or parameter vector goes non-finite.
     """
     if len(dataset) < 1:
         raise InvalidInputError("dataset must not be empty")
-    if cfg.loss == LOSS_PAIRWISE and any(s.n < 2 for s in dataset.samples):
-        raise InvalidInputError("pairwise training needs every sample to have >= 2 items")
+    check_evaluable(dataset.samples)
     rng = SplitMix64(cfg.seed)
     params = init_params(cfg.scorer, dataset.feature_dim, cfg.hidden_size, rng)
     vec = params_to_vector(params)

@@ -141,6 +141,40 @@ class TestTrainCommand:
         )
         assert code == EXIT_FAILURE
 
+    def test_eval_data_dim_mismatch_is_usage_error_before_training(self, tmp_path, capsys):
+        data = gen(tmp_path, name="train.txt", dim=4)
+        eval_data = gen(tmp_path, name="eval.txt", dim=3)
+        params_path = tmp_path / "p.txt"
+        code = run(
+            "train", "--data", str(data), "--loss", "listmle", "--epochs", "2",
+            "--seed", "3", "--eval-data", str(eval_data), "--out-params", str(params_path),
+        )
+        assert code == EXIT_USAGE
+        assert "feature_dim 3" in capsys.readouterr().err
+        assert not params_path.exists()
+
+    @pytest.mark.parametrize("short_split", ["train", "eval"])
+    def test_single_item_sample_is_usage_error_before_training(
+        self, tmp_path, capsys, short_split
+    ):
+        from depthrank.core import RankedSample
+        from depthrank.data import Dataset, write_dataset
+
+        splits = {"train": gen(tmp_path), "eval": gen(tmp_path, name="e.txt")}
+        write_dataset(Dataset(samples=(
+            RankedSample(id="a", items=np.ones((3, 4)), gt_scores=[1.0, 2.0, 3.0]),
+            RankedSample(id="b", items=np.ones((1, 4)), gt_scores=[1.0]),
+        )), splits[short_split])
+        params_path = tmp_path / "p.txt"
+        code = run(
+            "train", "--data", str(splits["train"]), "--eval-data", str(splits["eval"]),
+            "--loss", "listmle", "--epochs", "2", "--seed", "3",
+            "--out-params", str(params_path),
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: sample 'b' has fewer than two items\n"
+        assert not params_path.exists()
+
     def test_separate_eval_dataset(self, tmp_path):
         data = gen(tmp_path, name="train.txt", seed=11)
         eval_data = gen(tmp_path, name="eval.txt", seed=12)
@@ -267,6 +301,23 @@ class TestEvalCommand:
         code = run("eval", "--params", str(params_path), "--data", str(data))
         assert code == EXIT_FAILURE
         assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_ascii_dataset_is_failure_at_its_line(self, tmp_path, capsys, command):
+        data = gen(tmp_path, dim=4)
+        params_path = tmp_path / "p.txt"
+        write_params(LinearScorer(w=np.zeros(4), b=0.0), params_path)
+        lines = data.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"s00001", b"s0000\xb9")
+        data.write_bytes(b"\n".join(lines))
+        argv = {
+            "train": ["--loss", "listmle", "--seed", "1", "--out-params", str(tmp_path / "q.txt")],
+            "eval": ["--params", str(params_path)],
+        }[command]
+        code = run(command, "--data", str(data), *argv)
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == "error: line 3: non-ASCII byte 0xb9\n"
+        assert not (tmp_path / "q.txt").exists()
 
     def test_compare_dim_mismatch_is_usage_error(self, tmp_path, capsys):
         data = gen(tmp_path, dim=4)

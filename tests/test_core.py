@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthrank.core import (
-    OrdinalPair,
     Permutation,
     RankedSample,
     all_pairs,
     label_pairs,
-    pair_arrays,
     pairs_from_permutation,
     permutation_from_scores,
 )
@@ -199,42 +197,44 @@ class TestRankedSampleGtPerm:
         assert a == b and b == a
 
 
-class TestOrdinalPair:
-    def test_valid(self):
-        p = OrdinalPair(0, 1, 1)
-        assert (p.i, p.j, p.r) == (0, 1, 1)
-
-    @pytest.mark.parametrize("i,j,r", [(1, 1, 0), (-1, 0, 1), (0, 1, 2), (0, 1, -2)])
-    def test_invalid(self, i, j, r):
-        with pytest.raises(InvalidInputError):
-            OrdinalPair(i, j, r)
+def as_tuples(pairs):
+    return list(zip(*(a.tolist() for a in pairs)))
 
 
 class TestPairsFromPermutation:
     def test_two_items(self):
         perm = permutation_from_scores([2.0, 1.0])
-        assert pairs_from_permutation(perm, [2.0, 1.0]) == [OrdinalPair(0, 1, 1)]
+        assert as_tuples(pairs_from_permutation(perm, [2.0, 1.0])) == [(0, 1, 1)]
 
     def test_exact_tie(self):
         perm = permutation_from_scores([1.0, 1.0])
-        assert pairs_from_permutation(perm, [1.0, 1.0]) == [OrdinalPair(0, 1, 0)]
+        assert as_tuples(pairs_from_permutation(perm, [1.0, 1.0])) == [(0, 1, 0)]
 
     def test_three_items_brute_force(self):
         scores = [3.0, 2.0, 1.0]
         perm = permutation_from_scores(scores)
-        pairs = pairs_from_permutation(perm, scores)
+        pairs = as_tuples(pairs_from_permutation(perm, scores))
         # brute-force enumeration of unordered pairs in (low, high) orientation
         expected = []
         for i in range(3):
             for j in range(i + 1, 3):
-                expected.append(OrdinalPair(i, j, 1 if scores[i] > scores[j] else -1))
+                expected.append((i, j, 1 if scores[i] > scores[j] else -1))
         assert pairs == expected
-        assert all(p.r == 1 for p in pairs)
+        assert all(r == 1 for _, _, r in pairs)
 
     def test_requires_two_items(self):
         perm = permutation_from_scores([1.0])
         with pytest.raises(InvalidInputError):
             pairs_from_permutation(perm, [1.0])
+
+    def test_permutation_only_fixes_the_length(self):
+        scores = np.array([1.0, 3.0, 3.0, -2.0])
+        i, j, r = pairs_from_permutation(Permutation([3, 2, 1, 0]), scores)
+        want = all_pairs(scores)
+        for got, w in zip((i, j, r), want):
+            assert got.dtype == w.dtype and got.tolist() == w.tolist()
+        with pytest.raises(InvalidInputError):
+            pairs_from_permutation(Permutation([0, 1, 2]), scores)
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=12, unique=True))
@@ -242,8 +242,8 @@ class TestPairsFromPermutation:
         scores = [float(x) for x in int_scores]
         perm = permutation_from_scores(scores)
         rank = perm.inverse
-        for p in pairs_from_permutation(perm, scores):
-            assert p.r == (1 if rank[p.i] < rank[p.j] else -1)
+        for i, j, r in as_tuples(pairs_from_permutation(perm, scores)):
+            assert r == (1 if rank[i] < rank[j] else -1)
 
 
 TIED_OR_ANY = st.one_of(
@@ -292,16 +292,3 @@ class TestAllPairs:
         assert list(zip(i.tolist(), j.tolist())) == want
         assert i.dtype == j.dtype == np.intp and r.dtype == np.int64
         assert r.tolist() == [oracles.ordinal_label(scores[a], scores[b]) for a, b in want]
-
-
-def test_pair_arrays_roundtrip():
-    pairs = [OrdinalPair(0, 1, 1), OrdinalPair(2, 1, -1), OrdinalPair(0, 2, 0)]
-    i, j, r = pair_arrays(pairs)
-    assert i.tolist() == [0, 2, 0]
-    assert j.tolist() == [1, 1, 2]
-    assert r.tolist() == [1, -1, 0]
-
-
-def test_pair_arrays_rejects_empty():
-    with pytest.raises(InvalidInputError):
-        pair_arrays([])

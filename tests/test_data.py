@@ -183,10 +183,8 @@ class TestSamplePairs:
 
     def test_labels_match_pairs_from_permutation(self):
         s = make_sample(n=7)
-        lookup = {
-            (p.i, p.j): p.r
-            for p in pairs_from_permutation(s.gt_perm, s.gt_scores)
-        }
+        pairs = pairs_from_permutation(s.gt_perm, s.gt_scores)
+        lookup = {(a, b): r for a, b, r in zip(*(x.tolist() for x in pairs))}
         i, j, r = sample_pair_arrays(s.gt_scores, 500, SplitMix64(2))
         for a, b, got in zip(i.tolist(), j.tolist(), r.tolist()):
             want = lookup[(a, b)] if (a, b) in lookup else -lookup[(b, a)]
@@ -227,6 +225,18 @@ class TestDatasetIO:
         write_dataset(ds, p1)
         write_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("line_no", [1, 3])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, line_no):
+        path = tmp_path / "d.txt"
+        write_dataset(generate_synthetic(small_spec()), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[line_no - 1] += b"\xc3\xa9"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(path)
+        assert info.value.line == line_no
+        assert str(info.value) == f"line {line_no}: non-ASCII byte 0xc3"
 
     def test_truncated_file_is_an_error(self, tmp_path):
         ds = generate_synthetic(small_spec())

@@ -1,13 +1,13 @@
 import math
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depthrank.core import (
-    OrdinalPair,
     Permutation,
     RankedSample,
     pairs_from_permutation,
@@ -31,6 +31,11 @@ from depthrank.rng import SplitMix64
 import oracles
 
 
+def triple(*pairs):
+    """(i, j, r) arrays of the given (i, j, r) tuples."""
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*pairs))
+
+
 def sample_from_scores(gt_scores, dim=3, seed=0):
     rng = SplitMix64(seed)
     n = len(gt_scores)
@@ -52,21 +57,18 @@ class TestWhdr:
         assert whdr(pairs, [1.0, 2.0, 3.0]) == 1.0
 
     def test_half_wrong(self):
-        pairs = [
-            OrdinalPair(0, 1, 1),
-            OrdinalPair(1, 2, 1),
-            OrdinalPair(2, 3, 1),
-            OrdinalPair(0, 3, 1),
-        ]
+        pairs = triple((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1))
         # predictions get exactly two of the four pairs wrong
         assert whdr(pairs, [4.0, 1.0, 2.0, 3.0]) == 0.5
 
     def test_rejects_empty_pairs(self):
-        with pytest.raises(InvalidInputError):
-            whdr([], [1.0, 2.0])
+        empty = np.zeros(0, dtype=np.intp)
+        for pairs in ([], (empty, empty, empty)):
+            with pytest.raises(InvalidInputError):
+                whdr(pairs, [1.0, 2.0])
 
     def test_tie_threshold(self):
-        pairs = [OrdinalPair(0, 1, 0)]
+        pairs = triple((0, 1, 0))
         assert whdr(pairs, [1.0, 1.05], pred_tie_threshold=0.1) == 0.0
         assert whdr(pairs, [1.0, 1.05], pred_tie_threshold=0.0) == 1.0
 
@@ -83,7 +85,37 @@ class TestWhdr:
 
     def test_out_of_range_index(self):
         with pytest.raises(InvalidInputError):
-            whdr([OrdinalPair(0, 5, 1)], [1.0, 2.0])
+            whdr(triple((0, 5, 1)), [1.0, 2.0])
+
+    @pytest.mark.parametrize("i,j,r", [(1, 1, 0), (-1, 0, 1), (0, 1, 2), (0, 1, -2)])
+    def test_rejects_malformed_pair(self, i, j, r):
+        # the bad pair follows a valid one
+        with pytest.raises(InvalidInputError):
+            whdr(triple((0, 2, 1), (i, j, r)), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            pytest.param([(0, 1, 1), (1, 2, 1), (0, 2, 1)], id="list-of-tuples"),
+            pytest.param([SimpleNamespace(i=0, j=1, r=1)] * 3, id="list-of-objects"),
+            pytest.param(([0, 1], [1, 2], [1, 1]), id="lists"),
+            pytest.param((np.array([0]), np.array([1])), id="two-arrays"),
+            pytest.param(triple((0, 1, 1)) + (np.array([1]),), id="four-arrays"),
+            pytest.param((np.array([0, 1]), np.array([1]), np.array([1])), id="unequal-lengths"),
+            pytest.param((np.array([[0]]), np.array([[1]]), np.array([[1]])), id="2-d"),
+            pytest.param((np.array([0.0]), np.array([1.0]), np.array([1.0])), id="float"),
+            pytest.param((np.array([False]), np.array([True]), np.array([True])), id="bool"),
+            pytest.param(None, id="none"),
+        ],
+    )
+    def test_rejects_anything_but_three_integer_arrays(self, pairs):
+        with pytest.raises(InvalidInputError):
+            whdr(pairs, [1.0, 2.0, 3.0])
+
+    def test_accepts_any_integer_dtype(self):
+        i, j, r = triple((0, 1, 1), (2, 1, -1), (0, 2, 0))
+        got = whdr((i.astype(np.uint8), j.astype(np.int32), r.astype(np.int8)), [3.0, 1.0, 2.0])
+        assert got == whdr((i, j, r), [3.0, 1.0, 2.0]) == 2 / 3
 
 
 class TestAveragePrecision:
@@ -268,9 +300,9 @@ class TestEvaluate:
         from depthrank.core import all_pairs
 
         s = sample_from_scores([3.0, 1.0, 1.0, -2.0])
-        i, j, r = all_pairs(s.gt_scores)
-        pairs = pairs_from_permutation(s.gt_perm, s.gt_scores)
-        assert [(a, b, c) for a, b, c in zip(i, j, r)] == [(p.i, p.j, p.r) for p in pairs]
+        want = all_pairs(s.gt_scores)
+        got = pairs_from_permutation(s.gt_perm, s.gt_scores)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
@@ -410,6 +442,29 @@ class TestRankKernel:
         assert report.n_pairs == n * (n - 1) // 2
         assert 0.0 < report.whdr < 0.5
         assert peak < 50 * 2**20
+
+
+@st.composite
+def lists_with_threshold(draw):
+    """gt and pred of one list of 2-12 items, and t = 0 or exactly one of the
+    prediction gaps, where a pair's predicted label flips to a tie."""
+    n = draw(st.integers(2, 12))
+    gt = np.array(draw(st.lists(SCORES, min_size=n, max_size=n)))
+    pred = np.array(draw(st.lists(SCORES, min_size=n, max_size=n)))
+    gaps = np.abs(pred[:, None] - pred[None, :]).ravel().tolist()
+    return gt, pred, draw(st.sampled_from([0.0, *gaps]))
+
+
+class TestPublicWhdr:
+    @settings(max_examples=200, deadline=None)
+    @given(lists_with_threshold())
+    @example((np.array([0.0, -0.0, 1.0, 1.0]), np.array([-0.0, 0.0, 0.5, 1.0]), 0.5))
+    def test_matches_dense_oracle_and_evaluate(self, case):
+        gt, pred, t = case
+        got = whdr(pairs_from_permutation(permutation_from_scores(gt), gt), pred, t)
+        wrong, total = oracles.dense_whdr_counts(gt, pred, t)
+        assert got == wrong / total
+        assert got == evaluate([sample_from_scores(gt)], [pred], t).whdr
 
 
 class TestTieThreshold:

@@ -43,6 +43,15 @@ def test_malformed_params_file_names_its_line(tmp_path, lines, line_no):
     assert str(info.value).startswith(f"line {line_no}: ")
 
 
+def test_non_ascii_byte_names_its_line(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_bytes(f"{LINEAR}\r\n{W}\r\n".encode() + b"b 0x1p+0\xff\r\n")
+    with pytest.raises(DatasetFormatError) as info:
+        read_params(path)
+    assert info.value.line == 3
+    assert str(info.value) == "line 3: non-ASCII byte 0xff"
+
+
 def test_trailing_blank_lines_are_accepted(tmp_path):
     params = read_params(write(tmp_path, LINEAR, W, B, "", "  "))
     assert isinstance(params, LinearScorer)

@@ -305,6 +305,19 @@ class TestTrain:
         assert len(trace.eval_whdr) == 1 and len(trace.eval_map) == 1
         assert isinstance(params, LinearScorer)
 
+    @pytest.mark.parametrize("loss", ["pairwise", "listmle"])
+    def test_one_item_sample_is_rejected_before_training(self, loss, monkeypatch):
+        import depthrank.trainer
+
+        ds = Dataset(samples=(
+            make_sample(n=5),
+            RankedSample(id="one", items=np.ones((1, 4)), gt_scores=[1.0]),
+        ))
+        monkeypatch.setattr(depthrank.trainer, "init_params", None)  # never reached
+        cfg = TrainConfig(loss=loss, learning_rate=0.1, epochs=1, seed=5)
+        with pytest.raises(InvalidInputError, match="'one' has fewer than two items"):
+            train(ds, cfg)
+
     def test_same_seed_identical_runs(self):
         ds = tiny_dataset()
         cfg = TrainConfig(loss="weighted-listmle", learning_rate=0.1, epochs=3, seed=7, batch=3)
