@@ -7,6 +7,7 @@ from depthrank.core import (
     Permutation,
     RankedSample,
     all_pairs,
+    check_pairs,
     label_pairs,
     pairs_from_permutation,
     permutation_from_scores,
@@ -292,3 +293,11 @@ class TestAllPairs:
         assert list(zip(i.tolist(), j.tolist())) == want
         assert i.dtype == j.dtype == np.intp and r.dtype == np.int64
         assert r.tolist() == [oracles.ordinal_label(scores[a], scores[b]) for a, b in want]
+
+
+def test_pair_arrays_rejects_empty():
+    # check_pairs took over pair_arrays' job of turning a pair set into arrays
+    empty = np.zeros(0, dtype=np.intp)
+    for pairs in ([], (empty, empty, empty)):
+        with pytest.raises(InvalidInputError):
+            check_pairs(pairs, 2)
