@@ -32,8 +32,17 @@ class TrainingDivergedError(DepthRankError):
 
     :func:`depthrank.trainer.train` sets ``trace`` to the trace of the
     epochs completed before the abort and ``params`` to the last finite
-    parameters, so callers can still emit a partial report.
+    parameters, so callers can still emit a partial report.  ``epoch`` and
+    ``batch`` are the 1-based position of the failing step, when known, and
+    the message then ends with them.
     """
 
     trace = None
     params = None
+
+    def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
+        if epoch is not None:
+            message = f"{message} at epoch {epoch}, batch {batch}"
+        super().__init__(message)
+        self.epoch = epoch
+        self.batch = batch

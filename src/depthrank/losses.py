@@ -12,11 +12,15 @@ Four losses are implemented:
   a gain of the item's graded relevance and a discount of its rank, the
   same weighting NDCG uses.
 
-Each loss is one private array kernel returning ``(value, gradient with
-respect to the scores z)``: ``_pairwise_batch(z, i, j, r)`` (mean over
-pairs), ``_listnet(y, z)``, and ``_weighted_nll(order, weights, z)`` for
-both ListMLE losses.  The public functions validate their inputs, then
-call a kernel; the trainer calls the kernels directly.  The ListMLE
+Each loss is one private array kernel over ``b`` lists of equal length
+``n``, one per row: it takes ``(b, n)`` score rows ``z`` and returns
+``(values, gradients)``, a length-``b`` value array and the ``(b, n)``
+score gradient.  The kernels are ``_pairwise_batch(z, i, j, r)`` (mean over
+each row's pairs, ``(b, k)`` index and label rows), ``_listnet(y, z)``, and
+``_weighted_nll(order, weights, z)`` for both ListMLE losses.  Each row's
+result is bit-identical to a one-row call on that row alone.  The public
+functions validate one list, then make that one-row call; the trainer
+calls the kernels on a whole mini-batch.  The ListMLE
 kernel streams a suffix log-sum-exp, so it stays finite for score
 magnitudes up to ~700 and identity weights reduce it to plain ListMLE
 bit-for-bit.  Gradients are analytic; the test suite checks every one
@@ -145,25 +149,31 @@ def position_weights(cfg: WeightConfig, gt_scores_by_rank: np.ndarray) -> np.nda
 
 
 def _pairwise_batch(z: np.ndarray, i: np.ndarray, j: np.ndarray, r: np.ndarray):
-    """Mean pairwise loss over the pairs ``(i[k], j[k], r[k])`` and its
-    score gradient.
+    """Mean pairwise loss of each row's pairs ``(i[b, k], j[b, k], r[b, k])``
+    and its score gradient.
 
     The squared tie branch can overflow to inf when training diverges;
     that is the divergence signal the train loop checks for, so overflow
     is deliberately silent here.
     """
-    d = z[i] - z[j]
+    b, n = z.shape
+    rows = np.arange(b)[:, None]
+    d = z[rows, i] - z[rows, j]
     ordered = r != 0
     sgn = r.astype(np.float64)
     # -sgn * d is the wrongly-signed difference r (z_j - z_i); exact, as -(a - b) == b - a
     with np.errstate(over="ignore"):
         vals = np.where(ordered, softplus(-sgn * d), d * d)
         g_i = np.where(ordered, -sgn * sigmoid(-sgn * d), 2.0 * d)
-    k = d.size
-    dz = np.zeros_like(z)
-    np.add.at(dz, i, g_i)
-    np.add.at(dz, j, -g_i)
-    return float(vals.sum() / k), dz / k
+    k = d.shape[1]
+    # One bin per (row, item); each bin sums its i terms, then its j terms,
+    # in pair order, as np.add.at over i and then over j would.
+    dz = np.bincount(
+        np.concatenate([(i + n * rows).ravel(), (j + n * rows).ravel()]),
+        weights=np.concatenate([g_i.ravel(), (-g_i).ravel()]),
+        minlength=b * n,
+    )
+    return vals.sum(axis=1) / k, dz.reshape(b, n) / k
 
 
 def pairwise_loss(z_i: float, z_j: float, r: int) -> LossResult:
@@ -177,14 +187,15 @@ def pairwise_loss(z_i: float, z_j: float, r: int) -> LossResult:
         raise InvalidInputError(f"scores must be finite: ({z_i!r}, {z_j!r})")
     if r not in (1, -1, 0):
         raise InvalidInputError(f"ordinal label must be +1, -1 or 0: {r!r}")
-    z = np.array([z_i, z_j], dtype=np.float64)
-    value, grad = _pairwise_batch(z, np.array([0]), np.array([1]), np.array([r]))
-    return LossResult(value, grad)
+    z = np.array([[z_i, z_j]], dtype=np.float64)
+    value, grad = _pairwise_batch(z, np.array([[0]]), np.array([[1]]), np.array([[r]]))
+    return LossResult(float(value[0]), grad[0])
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def top_one_probabilities(scores) -> np.ndarray:
@@ -193,11 +204,15 @@ def top_one_probabilities(scores) -> np.ndarray:
 
 
 def _listnet(y: np.ndarray, z: np.ndarray):
-    """Kernel of :func:`listnet_loss`: value and score gradient."""
+    """Kernel of :func:`listnet_loss`: values and score gradients of ``(b, n)`` rows."""
     p_y = _softmax(y)
-    m = z.max()
-    log_p_z = z - (m + math.log(np.exp(z - m).sum()))
-    return -math.fsum((p_y * log_p_z).tolist()), np.exp(log_p_z) - p_y
+    m = z.max(axis=1, keepdims=True)
+    # math.log, not np.log: their last bits differ on a few inputs, and
+    # trained outputs are pinned to math.log's rounding
+    log_sums = [[math.log(s)] for s in np.exp(z - m).sum(axis=1).tolist()]
+    log_p_z = z - (m + np.array(log_sums))
+    values = [-math.fsum(row) for row in (p_y * log_p_z).tolist()]
+    return np.array(values), np.exp(log_p_z) - p_y
 
 
 def listnet_loss(gt_scores, pred_scores) -> LossResult:
@@ -207,8 +222,8 @@ def listnet_loss(gt_scores, pred_scores) -> LossResult:
     difference ``P_pred - P_gt``.
     """
     y = as_score_vector(gt_scores)
-    value, grad = _listnet(y, as_score_vector(pred_scores, n=y.size))
-    return LossResult(value, grad)
+    value, grad = _listnet(y[None], as_score_vector(pred_scores, n=y.size)[None])
+    return LossResult(float(value[0]), grad[0])
 
 
 def plackett_luce_log_prob(perm: Permutation, scores) -> float:
@@ -224,40 +239,41 @@ def plackett_luce_log_prob(perm: Permutation, scores) -> float:
 
 
 def _weighted_nll(order: np.ndarray, weights: np.ndarray, z: np.ndarray):
-    """Shared kernel: value and score-gradient of the weighted ListMLE sum.
+    """Shared kernel: values and score-gradients of the weighted ListMLE sum
+    of ``(b, n)`` rows.
 
-    ``weights[i]`` scales the rank-(i+1) term; the final position's term
-    is identically zero and its weight is ignored.  Terms are accumulated
-    in ascending rank order with exact (fsum) summation.
+    ``weights[:, i]`` scales the rank-(i+1) term; the final position's term
+    is identically zero and its weight is ignored.  Each row's terms are
+    accumulated in ascending rank order with exact (fsum) summation.
     """
-    n = z.size
+    b, n = z.shape
     if n == 1:
-        return 0.0, np.zeros(1)
-    v = z[order]
-    lse = np.logaddexp.accumulate(v[::-1])[::-1]
-    head_w = weights[: n - 1]
-    terms = head_w * (lse[: n - 1] - v[: n - 1])
-    value = math.fsum(terms.tolist())
+        return np.zeros(b), np.zeros((b, 1))
+    v = np.take_along_axis(z, order, axis=1)
+    lse = np.logaddexp.accumulate(v[:, ::-1], axis=1)[:, ::-1]
+    head_w = weights[:, : n - 1]
+    terms = head_w * (lse[:, : n - 1] - v[:, : n - 1])
+    values = [math.fsum(row) for row in terms.tolist()]
     # d/dz_k = sum_{i <= min(rank(k), n-1)} w_i * softmax_within_suffix_i(k)
     #          - w_{rank(k)} [rank(k) <= n-1].
     # The inner sum is exp(z_k + L_r) with L_r a prefix logsumexp of
     # log(w_i) - lse_i, which keeps every intermediate in a safe range.
     with np.errstate(divide="ignore"):
         log_w = np.log(head_w)
-    prefix = np.logaddexp.accumulate(log_w - lse[: n - 1])
+    prefix = np.logaddexp.accumulate(log_w - lse[:, : n - 1], axis=1)
     sel = np.minimum(np.arange(n), n - 2)
-    grad_sorted = np.exp(v + prefix[sel])
-    grad_sorted[: n - 1] -= head_w
+    grad_sorted = np.exp(v + prefix[:, sel])
+    grad_sorted[:, : n - 1] -= head_w
     grad = np.empty_like(z)
-    grad[order] = grad_sorted
-    return value, grad
+    np.put_along_axis(grad, order, grad_sorted, axis=1)
+    return np.array(values), grad
 
 
 def listmle_loss(gt_perm: Permutation, pred_scores) -> LossResult:
     """Negative Plackett-Luce log likelihood of the ground-truth permutation."""
     z = as_score_vector(pred_scores, n=len(gt_perm))
-    value, grad = _weighted_nll(gt_perm.order_array, np.ones(z.size), z)
-    return LossResult(value, grad)
+    value, grad = _weighted_nll(gt_perm.order_array[None], np.ones((1, z.size)), z[None])
+    return LossResult(float(value[0]), grad[0])
 
 
 def weighted_listmle_loss(
@@ -273,5 +289,5 @@ def weighted_listmle_loss(
     z = as_score_vector(pred_scores, n=len(gt_perm))
     order = gt_perm.order_array
     weights = position_weights(cfg, s[order])
-    value, grad = _weighted_nll(order, weights, z)
-    return LossResult(value, grad)
+    value, grad = _weighted_nll(order[None], weights[None], z[None])
+    return LossResult(float(value[0]), grad[0])

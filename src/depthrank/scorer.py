@@ -126,11 +126,12 @@ SCORER_FAMILIES = tuple(_FAMILIES)
 
 
 def score(params: ScorerParams, features) -> np.ndarray:
-    """Per-item ranking scores for an (n, d) feature matrix."""
+    """Per-item ranking scores for an (n, d) feature matrix, or (b, n)
+    scores for a stack of ``b`` such matrices."""
     x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != params.dim:
         raise InvalidInputError(
-            f"features must be (n, {params.dim}), got shape {x.shape}"
+            f"features must be (n, {params.dim}) or (b, n, {params.dim}), got shape {x.shape}"
         )
     if isinstance(params, LinearScorer):
         return x @ params.w + params.b
@@ -139,16 +140,28 @@ def score(params: ScorerParams, features) -> np.ndarray:
 
 
 def _param_grad_from_scores(params: ScorerParams, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Chain rule: flat parameter gradient J^T dz for the scorer Jacobian J."""
+    """Chain rule: flat parameter gradients J^T dz, one row per list, for
+    (b, n, d) features ``x``, their (b, n) score gradients ``dz`` and the
+    scorer Jacobian J.
+
+    Every product is one matrix-vector or matrix-matrix product per list,
+    so each row equals the gradient of that list computed alone.
+    """
+    dz_col = dz[..., None]
+    dz_sum = dz.sum(axis=-1, keepdims=True)
     if isinstance(params, LinearScorer):
-        return np.concatenate([x.T @ dz, [dz.sum()]])
+        return np.concatenate([(x.swapaxes(-1, -2) @ dz_col)[..., 0], dz_sum], axis=-1)
     pre = x @ params.w_hidden.T + params.b_hidden
     hidden = np.tanh(pre)
-    d_hidden = dz[:, None] * params.w_out[None, :]
+    d_hidden = dz_col * params.w_out
     d_pre = d_hidden * (1.0 - hidden * hidden)
-    return np.concatenate(
-        [(d_pre.T @ x).ravel(), d_pre.sum(axis=0), hidden.T @ dz, [dz.sum()]]
-    )
+    d_w_hidden = d_pre.swapaxes(-1, -2) @ x
+    return np.concatenate([
+        d_w_hidden.reshape(*d_w_hidden.shape[:-2], -1),
+        d_pre.sum(axis=-2),
+        (hidden.swapaxes(-1, -2) @ dz_col)[..., 0],
+        dz_sum,
+    ], axis=-1)
 
 
 def init_params(family: str, dim: int, hidden_size: int, rng: SplitMix64) -> ScorerParams:

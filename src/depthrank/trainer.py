@@ -4,11 +4,13 @@ gradient checks.
 The scorers, their flat parameter vectors and their params files belong
 to :mod:`depthrank.scorer`; this module trains them.  Backprop composes
 the score-gradient of a loss kernel from :mod:`depthrank.losses` with the
-scorer Jacobian; no autodiff is involved, so :func:`gradient_check`
-(central finite differences over the full parameter vector) is the
-correctness oracle.  A :class:`Target` holds one sample's kernel inputs,
-and :func:`draw_target` builds every one of them: a per-epoch draw from
-the stream, or the whole sample when no stream is given.
+scorer Jacobian, a whole mini-batch per call (:func:`backprop_batch`, of
+which :func:`backprop` is the one-sample call).  No autodiff is involved,
+so :func:`gradient_check` (central finite differences over the full
+parameter vector) is the correctness oracle.  A :class:`Target` holds one
+sample's kernel inputs, and :func:`draw_target` builds every one of them:
+a per-epoch draw from the stream, or the whole sample when no stream is
+given.
 
 Training is plain mini-batch SGD with classic momentum, fully
 deterministic given the config seed: sample order, per-epoch point/pair
@@ -141,26 +143,126 @@ def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64 | None =
     return Target(points, (order, position_weights(weights, normalize_relevance(gt)[order])))
 
 
+def _stack(arrays) -> np.ndarray:
+    """Equal-shape arrays stacked along a new first axis."""
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+
+
+@dataclass(frozen=True)
+class _Group:
+    """Lists of one length and one pair count, stacked: ``rows`` are their
+    positions among the lists grouped, ``x`` their (g, n, d) features and
+    ``args`` their kernel inputs, each with a leading axis of size g."""
+
+    rows: np.ndarray
+    x: np.ndarray
+    args: tuple
+
+
+def _rows_by_key(xs: Sequence[np.ndarray], targets: Sequence[Target]) -> list[list[int]]:
+    """Positions of the lists, grouped by list length and pair count."""
+    keys: dict[tuple[int, int], list[int]] = {}
+    for row, (x, t) in enumerate(zip(xs, targets)):
+        keys.setdefault((len(x), t.args[0].size), []).append(row)
+    return list(keys.values())
+
+
+def _stack_args(targets: Sequence[Target], rows: list[int]) -> tuple:
+    return tuple(_stack(col) for col in zip(*(targets[k].args for k in rows)))
+
+
+def _group_targets(samples: Sequence[RankedSample], targets: Sequence[Target]) -> list[_Group]:
+    """The samples' drawn lists, grouped by length and pair count and stacked."""
+    xs = [s.items if t.points is None else s.items[t.points] for s, t in zip(samples, targets)]
+    return [
+        _Group(np.array(rows), _stack([xs[k] for k in rows]), _stack_args(targets, rows))
+        for rows in _rows_by_key(xs, targets)
+    ]
+
+
+class _StackedTargets:
+    """Whole-sample targets of a dataset, grouped and stacked once; each
+    batch gathers its kernel inputs from them and stacks its features."""
+
+    def __init__(self, samples: Sequence[RankedSample], targets: Sequence[Target]):
+        self.samples = samples
+        groups = _rows_by_key([s.items for s in samples], targets)
+        self.args = [_stack_args(targets, rows) for rows in groups]
+        self.group_of = np.empty(len(samples), dtype=np.intp)
+        self.index_in_group = np.empty(len(samples), dtype=np.intp)
+        for g, rows in enumerate(groups):
+            self.group_of[rows] = g
+            self.index_in_group[rows] = np.arange(len(rows))
+
+    def take(self, batch: np.ndarray) -> list[_Group]:
+        """The groups of the samples ``batch`` (dataset indices); rows are batch positions."""
+        group_of = self.group_of[batch]
+        taken = []
+        for g in np.unique(group_of).tolist():
+            rows = np.flatnonzero(group_of == g)
+            members = batch[rows]
+            x = _stack([self.samples[k].items for k in members.tolist()])
+            idx = self.index_in_group[members]
+            taken.append(_Group(rows, x, tuple(a[idx] for a in self.args[g])))
+        return taken
+
+
+def _backprop_groups(params: ScorerParams, cfg: TrainConfig, size: int, groups: list[_Group]):
+    """Summed loss value and summed flat gradient of ``size`` lists, given as
+    groups: one forward pass, one loss-kernel call and one Jacobian call per
+    group.  The per-list gradients are reduced in list order and the loss is
+    the in-order sum of the per-list values, so both are bit-identical to
+    summing one call per list.  Kernels are looked up by name at each call,
+    so a wrapper installed on one sees every call.
+    """
+    values = np.empty(size)
+    grads = None
+    for group in groups:
+        z = score(params, group.x)
+        if cfg.loss == LOSS_PAIRWISE:
+            values[group.rows], dz = _pairwise_batch(z, *group.args)
+        elif cfg.loss == LOSS_LISTNET:
+            values[group.rows], dz = _listnet(*group.args, z)
+        else:
+            values[group.rows], dz = _weighted_nll(*group.args, z)
+        g = _param_grad_from_scores(params, group.x, dz)
+        if grads is None:
+            grads = np.empty((size, g.shape[1]))
+        grads[group.rows] = g
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    # Row by row from 0.0, as repeated += would: every scorer has >= 2
+    # parameters, so the reduced axis is never the contiguous one.
+    return total, np.add.reduce(grads, axis=0, initial=0.0)
+
+
+def backprop_batch(
+    params: ScorerParams, samples: Sequence[RankedSample], cfg: TrainConfig,
+    targets: Sequence[Target],
+) -> tuple[float, np.ndarray]:
+    """Summed loss value and summed flat parameter gradient of a mini-batch.
+
+    Samples are grouped by the length of their drawn list and their pair
+    count; each group is stacked into (g, n, d) features and makes one
+    forward pass, one loss-kernel call and one Jacobian call.  The result
+    is bit-identical to the in-order sum of one :func:`backprop` per sample.
+    """
+    return _backprop_groups(params, cfg, len(samples), _group_targets(samples, targets))
+
+
 def backprop(
     params: ScorerParams, sample: RankedSample, cfg: TrainConfig, target: Target | None = None
 ):
-    """Loss value and flat parameter gradient for one sample.
+    """Loss value and flat parameter gradient for one sample: the one-sample
+    call of :func:`backprop_batch`.
 
     ``target`` fixes the subsample (points or pairs); ``None`` evaluates
-    the deterministic whole-sample target.  Kernels are looked up by name
-    at each call, so a wrapper installed on one sees every call.
+    the deterministic whole-sample target.
     """
     if target is None:
         target = draw_target(sample, cfg)
-    x = sample.items if target.points is None else sample.items[target.points]
-    z = score(params, x)
-    if cfg.loss == LOSS_PAIRWISE:
-        value, dz = _pairwise_batch(z, *target.args)
-    elif cfg.loss == LOSS_LISTNET:
-        value, dz = _listnet(*target.args, z)
-    else:
-        value, dz = _weighted_nll(*target.args, z)
-    return value, _param_grad_from_scores(params, x, dz)
+    return backprop_batch(params, [sample], cfg, [target])
 
 
 def sgd_step(
@@ -214,10 +316,12 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     Listwise losses redraw ``points_per_sample`` item subsets per sample
     per epoch (the whole sample when it is at least as large); the
     pairwise loss redraws ``pairs_per_sample`` pairs.  Batch losses are
-    means over the samples of the batch.  Raises :class:`InvalidInputError`
+    means over the samples of the batch; each batch is one batched step,
+    as :func:`backprop_batch` computes it.  Raises :class:`InvalidInputError`
     before training when a sample has one item, which trace eval cannot
-    score, and :class:`TrainingDivergedError` (carrying the partial trace and
-    last finite params) when a loss, gradient or parameter vector goes non-finite.
+    score, and :class:`TrainingDivergedError` (carrying the partial trace, the
+    last finite params and the 1-based epoch and batch) when a loss, gradient
+    or parameter vector goes non-finite.
     """
     if len(dataset) < 1:
         raise InvalidInputError("dataset must not be empty")
@@ -228,9 +332,9 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     velocity = np.zeros_like(vec)
     m = len(dataset)
     # Static listwise targets when the subset is the whole sample anyway.
-    static_targets = None
+    static = None
     if cfg.loss != LOSS_PAIRWISE and cfg.points_per_sample >= max(s.n for s in dataset.samples):
-        static_targets = [draw_target(s, cfg) for s in dataset.samples]
+        static = _StackedTargets(dataset.samples, [draw_target(s, cfg) for s in dataset.samples])
     eval_ctx = _make_eval_context(dataset.samples[:EVAL_SAMPLES])
     trace = TrainTrace()
     try:
@@ -240,23 +344,20 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
                 t0 = time.perf_counter()
                 order = rng.permutation(m)
                 epoch_loss = 0.0
-                for start in range(0, m, cfg.batch):
+                for batch_no, start in enumerate(range(0, m, cfg.batch), start=1):
                     batch = order[start : start + cfg.batch]
-                    total_val = 0.0
-                    grad_acc = np.zeros_like(vec)
-                    for s_idx in batch:
-                        s = dataset.samples[int(s_idx)]
-                        if static_targets is not None:
-                            target = static_targets[int(s_idx)]
-                        else:
-                            target = draw_target(s, cfg, rng)
-                        value, grad = backprop(params, s, cfg, target)
-                        total_val += value
-                        grad_acc += grad
+                    if static is not None:
+                        groups = static.take(batch)
+                    else:
+                        samples = [dataset.samples[k] for k in batch.tolist()]
+                        # every draw of the batch, in batch order, before any compute
+                        targets = [draw_target(s, cfg, rng) for s in samples]
+                        groups = _group_targets(samples, targets)
+                    total_val, grad_sum = _backprop_groups(params, cfg, batch.size, groups)
                     if not math.isfinite(total_val):
                         raise TrainingDivergedError("non-finite training loss")
                     vec, velocity = sgd_step(
-                        vec, grad_acc / batch.size, cfg.learning_rate, cfg.momentum, velocity
+                        vec, grad_sum / batch.size, cfg.learning_rate, cfg.momentum, velocity
                     )
                     params = vector_to_params(vec, params)
                     epoch_loss += total_val
@@ -266,10 +367,12 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
                 trace.eval_map.append(map_val)
                 trace.epoch_seconds.append(time.perf_counter() - t0)
     except TrainingDivergedError as exc:
+        # the epoch under way is the one after those the trace completed
+        located = TrainingDivergedError(str(exc), epoch=len(trace) + 1, batch=batch_no)
         # params are the last finite ones: sgd_step rejects a non-finite update
-        exc.trace = trace
-        exc.params = params
-        raise
+        located.trace = trace
+        located.params = params
+        raise located from exc
     return params, trace
 
 

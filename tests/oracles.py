@@ -257,3 +257,55 @@ def fisher_yates_prefix(n, k, next_u64):
         j = i + next_u64() % (n - i)
         out[i], out[j] = out[j], out[i]
     return out
+
+
+# The loss kernels on one list, as the trainer ran them once per sample
+# before they took (b, n) rows.  Each row of a batched kernel call must
+# equal these bit for bit, so trained outputs stay what they were.
+
+
+def one_list_pairwise(z, i, j, r):
+    """Mean pairwise loss and score gradient: two ``np.add.at`` passes,
+    every i term and then every j term, in pair order."""
+    d = z[i] - z[j]
+    ordered = r != 0
+    sgn = r.astype(np.float64)
+    x = -sgn * d
+    with np.errstate(over="ignore"):
+        softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        t = np.exp(-np.abs(x))
+        sigmoid = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+        vals = np.where(ordered, softplus, d * d)
+        g_i = np.where(ordered, -sgn * sigmoid, 2.0 * d)
+    dz = np.zeros_like(z)
+    np.add.at(dz, i, g_i)
+    np.add.at(dz, j, -g_i)
+    return float(vals.sum() / d.size), dz / d.size
+
+
+def one_list_listnet(y, z):
+    """ListNet value and score gradient, normalizers rounded by ``math.log``."""
+    e = np.exp(y - y.max())
+    p_y = e / e.sum()
+    m = z.max()
+    log_p_z = z - (m + math.log(np.exp(z - m).sum()))
+    return -math.fsum((p_y * log_p_z).tolist()), np.exp(log_p_z) - p_y
+
+
+def one_list_weighted_nll(order, weights, z):
+    """Weighted ListMLE value and score gradient of one list."""
+    n = z.size
+    if n == 1:
+        return 0.0, np.zeros(1)
+    v = z[order]
+    lse = np.logaddexp.accumulate(v[::-1])[::-1]
+    head_w = weights[: n - 1]
+    value = math.fsum((head_w * (lse[: n - 1] - v[: n - 1])).tolist())
+    with np.errstate(divide="ignore"):
+        log_w = np.log(head_w)
+    prefix = np.logaddexp.accumulate(log_w - lse[: n - 1])
+    grad_sorted = np.exp(v + prefix[np.minimum(np.arange(n), n - 2)])
+    grad_sorted[: n - 1] -= head_w
+    grad = np.empty_like(z)
+    grad[order] = grad_sorted
+    return value, grad

@@ -133,6 +133,14 @@ class TestTrainCommand:
         assert "kind=train" in report_path.read_text()
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: training diverged: "), proc.stderr
+        # the line names where it happened; all six samples make one batch
+        where = {
+            "pairwise": "non-finite training loss at epoch 2, batch 1",
+            "listnet": "non-finite training loss at epoch 2, batch 1",
+            "listmle": "non-finite parameters after SGD step at epoch 1, batch 1",
+            "weighted-listmle": "non-finite parameters after SGD step at epoch 1, batch 1",
+        }
+        assert lines[0] == f"error: training diverged: {where[loss]}"
 
     def test_missing_dataset_file(self, tmp_path):
         code = run(

@@ -13,6 +13,7 @@ from depthrank.losses import (
     WeightConfig,
     _listnet,
     _pairwise_batch,
+    _weighted_nll,
     listmle_loss,
     listnet_loss,
     pairwise_loss,
@@ -129,7 +130,8 @@ class TestKernelsMatchOracles:
         i = np.array([a for a, _, _ in pairs])
         j = (i + np.array([b for _, b, _ in pairs])) % z.size
         r = np.array([c for _, _, c in pairs])
-        value, dz = _pairwise_batch(z, i, j, r)
+        values, dz = _pairwise_batch(z[None], i[None], j[None], r[None])
+        value, dz = values[0], dz[0]
         expected = np.zeros(z.size)
         values = []
         for a, b, c in zip(i.tolist(), j.tolist(), r.tolist()):
@@ -148,9 +150,72 @@ class TestKernelsMatchOracles:
         res = listnet_loss(y, z)
         assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(res.grad, grad, rtol=0, atol=1e-12)
-        kernel_value, kernel_grad = _listnet(np.array(y), np.array(z))
-        assert kernel_value == res.value
-        assert kernel_grad.tolist() == res.grad.tolist()
+        kernel_values, kernel_grads = _listnet(np.array([y]), np.array([z]))
+        assert kernel_values.tolist() == [res.value]
+        assert kernel_grads.tolist() == [res.grad.tolist()]
+
+
+def kernel_rows(seed, b, n):
+    """(b, n) scores with ties and extreme values, and integer ground truth."""
+    rng = SplitMix64(seed)
+    special = np.array([-700.0, -1.5, 0.0, 1.5, 700.0])
+    z = np.where(rng.uniforms(b * n) < 0.3, special[rng.u64_block(b * n) % np.uint64(5)],
+                 30.0 * rng.normals(b * n)).reshape(b, n)
+    gt = (rng.u64_block(b * n) % np.uint64(4)).astype(np.float64).reshape(b, n)
+    return rng, z, gt
+
+
+class TestKernelRowsMatchOneListKernels:
+    """Each row of a (b, n) kernel call equals, bit for bit, the one-list
+    kernel the trainer ran per sample before it batched."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), b=st.integers(1, 7), n=st.integers(2, 12),
+           k=st.integers(1, 9))
+    def test_pairwise(self, seed, b, n, k):
+        rng, z, _ = kernel_rows(seed, b, n)
+        i = (rng.u64_block(b * k) % np.uint64(n)).astype(np.intp).reshape(b, k)
+        j = (i + 1 + (rng.u64_block(b * k) % np.uint64(n - 1)).astype(np.intp).reshape(b, k)) % n
+        r = (rng.u64_block(b * k) % np.uint64(3)).astype(np.int64).reshape(b, k) - 1
+        values, grads = _pairwise_batch(z, i, j, r)
+        for row in range(b):
+            value, grad = oracles.one_list_pairwise(z[row], i[row], j[row], r[row])
+            assert values[row] == value
+            assert grads[row].tobytes() == grad.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), b=st.integers(1, 7), n=st.integers(1, 12))
+    def test_listnet(self, seed, b, n):
+        _, z, gt = kernel_rows(seed, b, n)
+        values, grads = _listnet(gt, z)
+        for row in range(b):
+            value, grad = oracles.one_list_listnet(gt[row], z[row])
+            assert values[row] == value
+            assert grads[row].tobytes() == grad.tobytes()
+
+    def test_listnet_normalizers_round_as_one_list_calls(self):
+        # np.log and math.log disagree in the last bit on a few normalizers
+        # in ten thousand; enough rows meet some of them
+        rng = SplitMix64(90)
+        z = rng.normals(20000 * 3).reshape(20000, 3)
+        y = rng.normals(20000 * 3).reshape(20000, 3)
+        values, grads = _listnet(y, z)
+        expected = [oracles.one_list_listnet(y[row], z[row]) for row in range(z.shape[0])]
+        assert values.tolist() == [value for value, _ in expected]
+        assert grads.tobytes() == np.array([grad for _, grad in expected]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), b=st.integers(1, 7), n=st.integers(1, 12))
+    def test_weighted_nll(self, seed, b, n):
+        _, z, gt = kernel_rows(seed, b, n)
+        order = np.argsort(-gt, axis=1, kind="stable")
+        # zero weights too: their log is -inf
+        weights = np.where(gt > 0, np.exp2(gt) - 1.0, 0.0) / np.arange(1, n + 1)
+        values, grads = _weighted_nll(order, weights, z)
+        for row in range(b):
+            value, grad = oracles.one_list_weighted_nll(order[row], weights[row], z[row])
+            assert values[row] == value
+            assert grads[row].tobytes() == grad.tobytes()
 
 
 class TestTopOneProbabilities:

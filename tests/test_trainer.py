@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthrank.core import RankedSample, permutation_from_scores
 from depthrank.data import Dataset, SyntheticSpec, generate_synthetic
@@ -11,20 +13,26 @@ from depthrank.losses import listnet_loss, pairwise_loss
 from depthrank.metrics import _KERNEL_ITEMS, evaluate
 from depthrank.rng import SplitMix64
 from depthrank.scorer import (
+    SCORER_FAMILIES,
     LinearScorer,
     MlpScorer,
     init_params,
     params_to_vector,
+    random_params,
     read_params,
     score,
     vector_to_params,
     write_params,
 )
 from depthrank.trainer import (
+    GRADCHECK_TOLERANCES,
     LOSS_KINDS,
     TrainConfig,
     TrainTrace,
+    _backprop_groups,
+    _StackedTargets,
     backprop,
+    backprop_batch,
     gradcheck_cases,
     gradient_check,
     loss_config,
@@ -169,6 +177,76 @@ class TestBackprop:
             pairwise_loss(z[i], z[j], int(r)).value for i, j, r in zip(*target.args)
         ]
         assert value == pytest.approx(sum(per_pair) / len(per_pair), rel=1e-12)
+
+
+# Ragged lists around the batch test's subsample size of 4 points: n = 2,
+# n <= 4 (the whole sample) and n > 4 (a drawn subset).
+RAGGED_SIZES = (2, 3, 4, 5, 7)
+
+
+def ragged_batch(seed, size, loss, family, points=4, pairs=5):
+    """A config, scorer params, ``size`` samples of mixed length with tied
+    ground truth, and one drawn target per sample, in batch order."""
+    rng = SplitMix64(seed)
+    cfg = TrainConfig(loss=loss, learning_rate=0.1, epochs=1, seed=0, scorer=family,
+                      hidden_size=3, points_per_sample=points, pairs_per_sample=pairs)
+    samples = []
+    for k in range(size):
+        n = RAGGED_SIZES[rng.below(len(RAGGED_SIZES))]
+        # integer ground truth in [-2, 2]: ties are common
+        gt = (rng.u64_block(n) % np.uint64(5)).astype(np.float64) - 2.0
+        samples.append(RankedSample(id=f"r{k}", items=rng.normals(n * 3).reshape(n, 3),
+                                    gt_scores=gt))
+    params = random_params(family, 3, cfg.hidden_size, rng)
+    targets = [draw_target(s, cfg, rng) for s in samples]
+    return cfg, params, samples, targets
+
+
+class TestBackpropBatch:
+    @pytest.mark.parametrize("family", SCORER_FAMILIES)
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32), size=st.integers(1, 9))
+    def test_equals_in_order_sum_of_one_sample_calls(self, loss, family, seed, size):
+        cfg, params, samples, targets = ragged_batch(seed, size, loss, family)
+        total, grad = backprop_batch(params, samples, cfg, targets)
+        seq_total, seq_grad = 0.0, np.zeros_like(params_to_vector(params))
+        for sample, target in zip(samples, targets):
+            value, g = backprop(params, sample, cfg, target)
+            seq_total += value
+            seq_grad += g
+        assert total == seq_total
+        assert np.array_equal(grad, seq_grad)
+        assert grad.tobytes() == seq_grad.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("family", SCORER_FAMILIES)
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    def test_batch_mean_gradient_check(self, loss, family):
+        # lengths 5, 2, 4, 5, 3, 3: a drawn subset, n = 2 and whole samples
+        cfg, params, samples, targets = ragged_batch(84, 6, loss, family)
+        assert {s.n for s in samples} == {2, 3, 4, 5}
+        b = len(samples)
+        _, grad = backprop_batch(params, samples, cfg, targets)
+
+        def mean_loss(v):
+            return backprop_batch(vector_to_params(v, params), samples, cfg, targets)[0] / b
+
+        err = gradient_check(mean_loss, grad / b, params_to_vector(params))
+        assert err < GRADCHECK_TOLERANCES[family]
+
+    @pytest.mark.parametrize("family", SCORER_FAMILIES)
+    @pytest.mark.parametrize("loss", ["listnet", "listmle", "weighted-listmle"])
+    def test_stacked_static_targets_give_the_batched_step(self, loss, family):
+        # whole samples, as train uses them when points_per_sample >= every n
+        cfg, params, samples, _ = ragged_batch(82, 12, loss, family, points=7)
+        targets = [draw_target(s, cfg) for s in samples]
+        stacked = _StackedTargets(samples, targets)
+        batch = SplitMix64(83).permutation(len(samples))[:8]
+        got = _backprop_groups(params, cfg, batch.size, stacked.take(batch))
+        expected = backprop_batch(params, [samples[k] for k in batch],
+                                  cfg, [targets[k] for k in batch])
+        assert got[0] == expected[0]
+        assert got[1].tobytes() == expected[1].tobytes()
 
 
 def same_target(a, b):
@@ -392,6 +470,26 @@ class TestTrain:
         assert info.value.trace is not None
         assert len(info.value.trace) < 50
         assert info.value.params is not None
+        # one batch per epoch: the failing epoch is the first one not traced
+        assert (info.value.epoch, info.value.batch) == (len(info.value.trace) + 1, 1)
+        assert str(info.value) == (
+            f"non-finite training loss at epoch {info.value.epoch}, batch 1"
+        )
+
+    def test_divergence_names_its_epoch_and_batch(self):
+        rng = SplitMix64(5)
+        samples = tuple(
+            RankedSample(id=f"d{i}", items=rng.normals(12).reshape(6, 2),
+                         gt_scores=[1.0, 1.0, 0.0, 0.0, 2.0, 2.0])
+            for i in range(4)
+        )
+        cfg = TrainConfig(loss="pairwise", learning_rate=1e100, epochs=5, seed=5,
+                          pairs_per_sample=30, batch=1)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(Dataset(samples=samples), cfg)
+        assert (info.value.epoch, info.value.batch) == (1, 3)
+        assert str(info.value) == "non-finite training loss at epoch 1, batch 3"
+        assert len(info.value.trace) == 0
 
     @pytest.mark.parametrize("loss", LOSS_KINDS)
     def test_overflowing_step_size_diverges_with_finite_params(self, loss):
@@ -400,6 +498,7 @@ class TestTrain:
             train(tiny_dataset(), cfg)
         assert isinstance(info.value.trace, TrainTrace)
         assert np.isfinite(params_to_vector(info.value.params)).all()
+        assert info.value.batch == 1 and info.value.epoch == len(info.value.trace) + 1
 
     def test_loss_decreases_on_learnable_data(self):
         ds = tiny_dataset(n_samples=20, items_per_sample=10, seed=21)
