@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Run a fixed list of depthrank CLI cases and record every byte they give.
+
+Each case runs ``python -m depthrank.cli`` in a child process with ``OUT``
+as its working directory, so every path it prints is relative.  For each
+case, ``OUT/<case>/`` receives ``stdout.txt``, ``stderr.txt``,
+``exit.txt`` and every file the case writes.  Trees made from two source
+trees show any change in CLI output with ``diff -r``.
+
+Cases: synthetic datasets (linear, MLP, an eval set, one of 6000 items)
+and a hand-written ragged dataset with tied ground truth; every loss x
+scorer on both training sets, on whole samples and on ``--points 9
+--pairs 11`` draws; ``--eval-data``; the human format; ``--lr 1e308``
+divergence per loss; eval at several tie thresholds, ``--compare`` and a
+dimension mismatch; gradcheck.
+
+Usage:
+    python scripts/cli_cases.py OUT [--src SRC]
+    diff -r OUT_A OUT_B
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+LOSSES = ("pairwise", "listnet", "listmle", "weighted-listmle")
+SCORERS = ("linear", "mlp")
+TRAIN = ("--lr", "0.05", "--epochs", "3", "--batch", "4", "--seed", "7")
+
+
+def ragged_dataset(path: Path) -> None:
+    """Samples of 2 to 15 items whose integer ground truth ties often."""
+    rng = random.Random(13)
+    dim = 4
+    lines = []
+    for k in range(11):
+        n = 2 + k if k < 9 else 15
+        feats = [rng.gauss(0.0, 1.0) for _ in range(n * dim)]
+        gt = [float(rng.randrange(-2, 3)) for _ in range(n)]
+        lines.append(" ".join([f"r{k}", str(n), str(dim), *map(float.hex, feats + gt)]))
+    header = f'depthrank.dataset.v1 dim={dim} samples={len(lines)} meta={{"source":"ragged"}}'
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="ascii")
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    out = [
+        ("gen-linear", ["gen-data", "--n-samples", "12", "--items", "14", "--dim", "4",
+                        "--noise", "0.3", "--seed", "5", "--out", "gen-linear/data.txt"]),
+        ("gen-mlp", ["gen-data", "--n-samples", "10", "--items", "12", "--dim", "3",
+                     "--noise", "0.2", "--family", "mlp", "--seed", "6",
+                     "--out", "gen-mlp/data.txt"]),
+        ("gen-eval", ["gen-data", "--n-samples", "6", "--items", "14", "--dim", "4",
+                      "--seed", "9", "--out", "gen-eval/data.txt"]),
+        ("gen-long", ["gen-data", "--n-samples", "12", "--items", "500", "--dim", "4",
+                      "--noise", "0.5", "--seed", "10", "--out", "gen-long/data.txt"]),
+    ]
+    for data in ("gen-linear", "ragged"):
+        for loss in LOSSES:
+            for family in SCORERS:
+                for draw, flags in (("whole", []), ("drawn", ["--points", "9", "--pairs", "11"])):
+                    name = f"train-{data}-{loss}-{family}-{draw}"
+                    out.append((name, ["train", "--data", f"{data}/data.txt", "--loss", loss,
+                                       "--scorer", family, "--hidden", "5", *TRAIN, *flags,
+                                       "--out-params", f"{name}/params.txt"]))
+    out += [
+        ("train-mlp-data", ["train", "--data", "gen-mlp/data.txt", "--loss", "weighted-listmle",
+                            "--scorer", "mlp", *TRAIN,
+                            "--out-params", "train-mlp-data/params.txt"]),
+        ("train-eval-data", ["train", "--data", "gen-linear/data.txt", "--loss", "listmle",
+                             "--eval-data", "gen-eval/data.txt", *TRAIN,
+                             "--out-params", "train-eval-data/params.txt",
+                             "--out-report", "train-eval-data/report.txt"]),
+        ("train-human", ["train", "--data", "ragged/data.txt", "--loss", "weighted-listmle",
+                         "--gain", "identity-one", "--discount", "identity-one", *TRAIN,
+                         "--format", "human", "--out-params", "train-human/params.txt"]),
+        # more items than one rank-kernel call takes
+        ("train-long", ["train", "--data", "gen-long/data.txt", "--loss", "listnet", *TRAIN,
+                        "--out-params", "train-long/params.txt"]),
+    ]
+    for loss in LOSSES:
+        name = f"train-diverge-{loss}"
+        out.append((name, ["train", "--data", "gen-linear/data.txt", "--loss", loss,
+                           "--lr", "1e308", "--epochs", "3", "--seed", "1",
+                           "--out-params", f"{name}/params.txt"]))
+    params = "train-gen-linear-weighted-listmle-linear-whole/params.txt"
+    other = "train-gen-linear-pairwise-mlp-drawn/params.txt"
+    for tag, threshold in (("0", "0"), ("0.1", "0.1"), ("neg", "-1")):
+        out.append((f"eval-threshold-{tag}", ["eval", "--params", params, "--data",
+                                              "gen-eval/data.txt",
+                                              "--pred-tie-threshold", threshold]))
+    out += [
+        ("eval-human", ["eval", "--params", other, "--data", "gen-linear/data.txt",
+                        "--format", "human", "--out-report", "eval-human/report.txt"]),
+        ("eval-compare", ["eval", "--params", params, "--compare", other,
+                          "--data", "gen-eval/data.txt"]),
+        ("eval-dim-mismatch", ["eval", "--params", params, "--data", "gen-mlp/data.txt"]),
+        ("gradcheck", ["gradcheck"]),
+        ("gradcheck-mlp", ["gradcheck", "--cases", "mlp", "--seed", "3", "--instances", "4"]),
+        ("gradcheck-tight", ["gradcheck", "--tol", "1e-30", "--instances", "2"]),
+    ]
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="directory for the case tree; must not exist or be empty")
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                    help="directory holding the depthrank package to run")
+    args = ap.parse_args()
+    root = Path(args.out)
+    root.mkdir(parents=True, exist_ok=True)
+    if any(root.iterdir()):
+        ap.error(f"{root} is not empty")
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+    (root / "ragged").mkdir()
+    ragged_dataset(root / "ragged" / "data.txt")
+    for name, argv in cases():
+        case = root / name
+        case.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "depthrank.cli", *argv], cwd=root,
+                              env=env, capture_output=True)
+        (case / "stdout.txt").write_bytes(proc.stdout)
+        (case / "stderr.txt").write_bytes(proc.stderr)
+        (case / "exit.txt").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

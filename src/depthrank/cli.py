@@ -35,37 +35,43 @@ class _UsageError(Exception):
     pass
 
 
+def _field_defaults(cls) -> dict:
+    """The declared defaults of a dataclass's fields, by name."""
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="depthrank", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
+    spec = _field_defaults(data.SyntheticSpec)
     pg = sub.add_parser("gen-data", help="generate a synthetic dataset file")
     pg.add_argument("--n-samples", type=int, required=True)
-    pg.add_argument("--items", type=int, default=500)
-    pg.add_argument("--dim", type=int, default=10)
-    pg.add_argument("--noise", type=float, default=0.0)
+    pg.add_argument("--items", type=int, default=spec["items_per_sample"])
+    pg.add_argument("--dim", type=int, default=spec["feature_dim"])
+    pg.add_argument("--noise", type=float, default=spec["noise_sigma"])
     pg.add_argument("--family", choices=[data.FAMILY_LINEAR, data.FAMILY_MLP],
-                    default=data.FAMILY_LINEAR)
+                    default=spec["scorer_family"])
     pg.add_argument("--seed", type=int, required=True)
     pg.add_argument("--out", required=True)
 
+    cfg = _field_defaults(trainer.TrainConfig)
     pt = sub.add_parser("train", help="train a scorer on a dataset file")
     pt.add_argument("--data", required=True)
     pt.add_argument("--loss", required=True)
     pt.add_argument("--lr", type=float, default=0.05)
-    pt.add_argument("--momentum", type=float, default=0.9)
+    pt.add_argument("--momentum", type=float, default=cfg["momentum"])
     pt.add_argument("--epochs", type=int, default=100)
-    pt.add_argument("--batch", type=int, default=32)
+    pt.add_argument("--batch", type=int, default=cfg["batch"])
     pt.add_argument("--seed", type=int, required=True)
-    pt.add_argument("--points", type=int, default=500)
-    pt.add_argument("--pairs", type=int, default=3000)
-    pt.add_argument("--scorer", choices=list(scorer.SCORER_FAMILIES),
-                    default=scorer.SCORER_LINEAR)
-    pt.add_argument("--hidden", type=int, default=16)
-    weights = losses.WeightConfig()
-    pt.add_argument("--gain", choices=losses._GAIN_KINDS, default=weights.gain)
-    pt.add_argument("--discount", choices=losses._DISCOUNT_KINDS, default=weights.discount)
-    pt.add_argument("--log-base", type=float, default=weights.log_base)
+    pt.add_argument("--points", type=int, default=cfg["points_per_sample"])
+    pt.add_argument("--pairs", type=int, default=cfg["pairs_per_sample"])
+    pt.add_argument("--scorer", choices=list(scorer.SCORER_FAMILIES), default=cfg["scorer"])
+    pt.add_argument("--hidden", type=int, default=cfg["hidden_size"])
+    weights = _field_defaults(losses.WeightConfig)
+    pt.add_argument("--gain", choices=losses._GAIN_KINDS, default=weights["gain"])
+    pt.add_argument("--discount", choices=losses._DISCOUNT_KINDS, default=weights["discount"])
+    pt.add_argument("--log-base", type=float, default=weights["log_base"])
     pt.add_argument("--eval-data", default=None)
     pt.add_argument("--out-params", required=True)
     pt.add_argument("--out-report", default=None)

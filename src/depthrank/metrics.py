@@ -39,7 +39,7 @@ from .losses import _discounts, _gains
 FLAG_DEGENERATE_PRED_TIES = "degenerate-pred-ties"
 FLAG_ALL_ZERO_GAIN = "all-zero-gain"
 
-# Items per rank-kernel call in `evaluate`, rounded up to whole samples.
+# Items per rank-kernel call, rounded up to whole samples.
 _KERNEL_ITEMS = 4096
 # Rows of a sample's pair triangle labelled at once for WHDR at a nonzero
 # prediction tie threshold.
@@ -202,17 +202,7 @@ def evaluate(
             flags.add(FLAG_DEGENERATE_PRED_TIES)
         ndcgs.append(ndcg(rel, z))
         preds.append(z)
-    # Runs of consecutive samples per kernel call bound its scratch memory.
-    sizes = np.array([s.n for s in samples])
-    cuts = (np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _KERNEL_ITEMS)) + 1).tolist()
-    wrong = pairs = 0
-    maps = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(samples)]):
-        w, p, m = _rank_metrics([s.gt_scores for s in samples[lo:hi]],
-                                np.concatenate(preds[lo:hi]))
-        wrong += w
-        pairs += p
-        maps.extend(m.tolist())
+    wrong, pairs, maps = _rank_metrics_in_runs([s.gt_scores for s in samples], preds)
     if threshold > 0.0:
         # "Within the threshold" is not transitive, so no sort can count it.
         wrong = sum(_misordered_within(s.gt_scores, z, threshold) for s, z in zip(samples, preds))
@@ -224,6 +214,24 @@ def evaluate(
         n_pairs=pairs,
         flags=tuple(sorted(flags)),
     )
+
+
+def _rank_metrics_in_runs(gt_scores: list[np.ndarray], preds: list[np.ndarray]):
+    """:func:`_rank_metrics` over runs of consecutive samples of about
+    :data:`_KERNEL_ITEMS` items, which bound its scratch memory: the summed
+    misordered and pair counts, and the per-sample MAP list.  A sample's MAP
+    bits depend on the run it is scored in, so every caller goes through here.
+    """
+    sizes = np.array([g.size for g in gt_scores])
+    cuts = (np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _KERNEL_ITEMS)) + 1).tolist()
+    wrong = pairs = 0
+    maps = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(gt_scores)]):
+        w, p, m = _rank_metrics(gt_scores[lo:hi], np.concatenate(preds[lo:hi]))
+        wrong += w
+        pairs += p
+        maps.extend(m.tolist())
+    return wrong, pairs, maps
 
 
 def _misordered_within(gt: np.ndarray, z: np.ndarray, threshold: float) -> int:

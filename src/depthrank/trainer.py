@@ -35,7 +35,7 @@ from .data import Dataset, normalize_relevance, sample_pair_arrays, sample_point
 from .errors import InvalidInputError, TrainingDivergedError
 from .losses import (IDENTITY_WEIGHTS, WeightConfig, _listnet, _pairwise_batch, _weighted_nll,
                      position_weights)
-from .metrics import _rank_metrics, check_evaluable
+from .metrics import _rank_metrics_in_runs, check_evaluable
 from .rng import SplitMix64
 from .scorer import (SCORER_FAMILIES, SCORER_LINEAR, SCORER_MLP, ScorerParams,
                      _param_grad_from_scores, init_params, params_to_vector, random_params,
@@ -148,87 +148,67 @@ def _stack(arrays) -> np.ndarray:
     return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
-@dataclass(frozen=True)
-class _Group:
-    """Lists of one length and one pair count, stacked: ``rows`` are their
-    positions among the lists grouped, ``x`` their (g, n, d) features and
-    ``args`` their kernel inputs, each with a leading axis of size g."""
-
-    rows: np.ndarray
-    x: np.ndarray
-    args: tuple
-
-
-def _rows_by_key(xs: Sequence[np.ndarray], targets: Sequence[Target]) -> list[list[int]]:
-    """Positions of the lists, grouped by list length and pair count."""
-    keys: dict[tuple[int, int], list[int]] = {}
-    for row, (x, t) in enumerate(zip(xs, targets)):
-        keys.setdefault((len(x), t.args[0].size), []).append(row)
-    return list(keys.values())
-
-
-def _stack_args(targets: Sequence[Target], rows: list[int]) -> tuple:
-    return tuple(_stack(col) for col in zip(*(targets[k].args for k in rows)))
-
-
-def _group_targets(samples: Sequence[RankedSample], targets: Sequence[Target]) -> list[_Group]:
-    """The samples' drawn lists, grouped by length and pair count and stacked."""
-    xs = [s.items if t.points is None else s.items[t.points] for s, t in zip(samples, targets)]
-    return [
-        _Group(np.array(rows), _stack([xs[k] for k in rows]), _stack_args(targets, rows))
-        for rows in _rows_by_key(xs, targets)
-    ]
-
-
-class _StackedTargets:
-    """Whole-sample targets of a dataset, grouped and stacked once; each
-    batch gathers its kernel inputs from them and stacks its features."""
+class _ListPool:
+    """The drawn lists of some samples, grouped by list length and pair
+    count, with each group's kernel inputs stacked once.  Features are
+    not pooled: :meth:`take` stacks them per batch."""
 
     def __init__(self, samples: Sequence[RankedSample], targets: Sequence[Target]):
-        self.samples = samples
-        groups = _rows_by_key([s.items for s in samples], targets)
-        self.args = [_stack_args(targets, rows) for rows in groups]
-        self.group_of = np.empty(len(samples), dtype=np.intp)
-        self.index_in_group = np.empty(len(samples), dtype=np.intp)
-        for g, rows in enumerate(groups):
-            self.group_of[rows] = g
-            self.index_in_group[rows] = np.arange(len(rows))
+        self.xs = [s.items if t.points is None else s.items[t.points]
+                   for s, t in zip(samples, targets)]
+        keys: dict[tuple[int, int], list[int]] = {}
+        for k, (x, t) in enumerate(zip(self.xs, targets)):
+            keys.setdefault((len(x), t.args[0].size), []).append(k)
+        self.args = [tuple(_stack(col) for col in zip(*(targets[k].args for k in members)))
+                     for members in keys.values()]
+        self.group_of = np.empty(len(targets), dtype=np.intp)
+        self.index_in_group = np.empty(len(targets), dtype=np.intp)
+        for g, members in enumerate(keys.values()):
+            self.group_of[members] = g
+            self.index_in_group[members] = np.arange(len(members))
 
-    def take(self, batch: np.ndarray) -> list[_Group]:
-        """The groups of the samples ``batch`` (dataset indices); rows are batch positions."""
+    def take(self, batch: np.ndarray):
+        """``(rows, x, args)`` per group of the lists ``batch`` (pool
+        positions): their positions in ``batch``, their stacked (g, n, d)
+        features and their kernel inputs, each with a leading axis of g."""
         group_of = self.group_of[batch]
-        taken = []
         for g in np.unique(group_of).tolist():
             rows = np.flatnonzero(group_of == g)
             members = batch[rows]
-            x = _stack([self.samples[k].items for k in members.tolist()])
             idx = self.index_in_group[members]
-            taken.append(_Group(rows, x, tuple(a[idx] for a in self.args[g])))
-        return taken
+            args = self.args[g]
+            # A pool of just the batch's lists is taken whole and in order:
+            # its stacked inputs serve as they are, with no second copy.
+            if idx.size < len(args[0]) or (idx[1:] < idx[:-1]).any():
+                args = tuple(a[idx] for a in args)
+            yield rows, _stack([self.xs[k] for k in members.tolist()]), args
 
 
-def _backprop_groups(params: ScorerParams, cfg: TrainConfig, size: int, groups: list[_Group]):
-    """Summed loss value and summed flat gradient of ``size`` lists, given as
-    groups: one forward pass, one loss-kernel call and one Jacobian call per
-    group.  The per-list gradients are reduced in list order and the loss is
-    the in-order sum of the per-list values, so both are bit-identical to
-    summing one call per list.  Kernels are looked up by name at each call,
-    so a wrapper installed on one sees every call.
+def backprop_batch(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batch: np.ndarray):
+    """Summed loss value and summed flat parameter gradient of the lists
+    ``batch`` (positions in ``pool``), in batch order.
+
+    Each group of the batch makes one forward pass, one loss-kernel call
+    and one Jacobian call.  The per-list gradients are reduced in batch
+    order and the loss is the in-order sum of the per-list values, so both
+    are bit-identical to summing one :func:`backprop` per list.  Kernels
+    are looked up by name at each call, so a wrapper installed on one sees
+    every call.
     """
-    values = np.empty(size)
+    values = np.empty(batch.size)
     grads = None
-    for group in groups:
-        z = score(params, group.x)
+    for rows, x, args in pool.take(batch):
+        z = score(params, x)
         if cfg.loss == LOSS_PAIRWISE:
-            values[group.rows], dz = _pairwise_batch(z, *group.args)
+            values[rows], dz = _pairwise_batch(z, *args)
         elif cfg.loss == LOSS_LISTNET:
-            values[group.rows], dz = _listnet(*group.args, z)
+            values[rows], dz = _listnet(*args, z)
         else:
-            values[group.rows], dz = _weighted_nll(*group.args, z)
-        g = _param_grad_from_scores(params, group.x, dz)
+            values[rows], dz = _weighted_nll(*args, z)
+        g = _param_grad_from_scores(params, x, dz)
         if grads is None:
-            grads = np.empty((size, g.shape[1]))
-        grads[group.rows] = g
+            grads = np.empty((batch.size, g.shape[1]))
+        grads[rows] = g
     total = 0.0
     for value in values.tolist():
         total += value
@@ -237,24 +217,10 @@ def _backprop_groups(params: ScorerParams, cfg: TrainConfig, size: int, groups: 
     return total, np.add.reduce(grads, axis=0, initial=0.0)
 
 
-def backprop_batch(
-    params: ScorerParams, samples: Sequence[RankedSample], cfg: TrainConfig,
-    targets: Sequence[Target],
-) -> tuple[float, np.ndarray]:
-    """Summed loss value and summed flat parameter gradient of a mini-batch.
-
-    Samples are grouped by the length of their drawn list and their pair
-    count; each group is stacked into (g, n, d) features and makes one
-    forward pass, one loss-kernel call and one Jacobian call.  The result
-    is bit-identical to the in-order sum of one :func:`backprop` per sample.
-    """
-    return _backprop_groups(params, cfg, len(samples), _group_targets(samples, targets))
-
-
 def backprop(
     params: ScorerParams, sample: RankedSample, cfg: TrainConfig, target: Target | None = None
 ):
-    """Loss value and flat parameter gradient for one sample: the one-sample
+    """Loss value and flat parameter gradient for one sample: the one-list
     call of :func:`backprop_batch`.
 
     ``target`` fixes the subsample (points or pairs); ``None`` evaluates
@@ -262,7 +228,7 @@ def backprop(
     """
     if target is None:
         target = draw_target(sample, cfg)
-    return backprop_batch(params, [sample], cfg, [target])
+    return backprop_batch(params, cfg, _ListPool([sample], [target]), np.zeros(1, dtype=np.intp))
 
 
 def sgd_step(
@@ -305,9 +271,9 @@ def _make_eval_context(samples: Sequence[RankedSample]) -> _EvalContext:
 
 
 def _trace_eval(params: ScorerParams, ctx: _EvalContext) -> tuple[float, float]:
-    z = np.concatenate([score(params, s.items) for s in ctx.samples])
-    wrong, pairs, maps = _rank_metrics([s.gt_scores for s in ctx.samples], z)
-    return wrong / pairs, math.fsum(maps.tolist()) / len(maps)
+    wrong, pairs, maps = _rank_metrics_in_runs([s.gt_scores for s in ctx.samples],
+                                               [score(params, s.items) for s in ctx.samples])
+    return wrong / pairs, math.fsum(maps) / len(maps)
 
 
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]:
@@ -331,10 +297,10 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     vec = params_to_vector(params)
     velocity = np.zeros_like(vec)
     m = len(dataset)
-    # Static listwise targets when the subset is the whole sample anyway.
-    static = None
+    # One pool for the run when every listwise target is the whole sample.
+    pool = None
     if cfg.loss != LOSS_PAIRWISE and cfg.points_per_sample >= max(s.n for s in dataset.samples):
-        static = _StackedTargets(dataset.samples, [draw_target(s, cfg) for s in dataset.samples])
+        pool = _ListPool(dataset.samples, [draw_target(s, cfg) for s in dataset.samples])
     eval_ctx = _make_eval_context(dataset.samples[:EVAL_SAMPLES])
     trace = TrainTrace()
     try:
@@ -346,14 +312,14 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
                 epoch_loss = 0.0
                 for batch_no, start in enumerate(range(0, m, cfg.batch), start=1):
                     batch = order[start : start + cfg.batch]
-                    if static is not None:
-                        groups = static.take(batch)
+                    if pool is not None:
+                        total_val, grad_sum = backprop_batch(params, cfg, pool, batch)
                     else:
                         samples = [dataset.samples[k] for k in batch.tolist()]
                         # every draw of the batch, in batch order, before any compute
                         targets = [draw_target(s, cfg, rng) for s in samples]
-                        groups = _group_targets(samples, targets)
-                    total_val, grad_sum = _backprop_groups(params, cfg, batch.size, groups)
+                        total_val, grad_sum = backprop_batch(
+                            params, cfg, _ListPool(samples, targets), np.arange(batch.size))
                     if not math.isfinite(total_val):
                         raise TrainingDivergedError("non-finite training loss")
                     vec, velocity = sgd_step(

@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from depthrank.cli import EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from depthrank.data import read_dataset
+from depthrank.cli import EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
+from depthrank.data import SyntheticSpec, read_dataset
+from depthrank.losses import WeightConfig
+from depthrank.trainer import TrainConfig
 from depthrank.scorer import LinearScorer, read_params, write_params
 
 
@@ -83,6 +85,22 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         for name in ("pairwise", "listnet", "listmle", "weighted-listmle"):
             assert name in err
+
+    def test_trace_metrics_equal_train_metrics(self, tmp_path):
+        # trace eval scores all of <= 100 samples; more items than one
+        # rank-kernel call takes, so both must split the samples alike
+        data = gen(tmp_path, n_samples=12, items=500, noise=0.5)
+        report_path = tmp_path / "r.txt"
+        code = run(
+            "train", "--data", str(data), "--loss", "listnet", "--epochs", "2",
+            "--batch", "4", "--seed", "3", "--out-params", str(tmp_path / "p.txt"),
+            "--out-report", str(report_path),
+        )
+        assert code == EXIT_OK
+        fields = dict(line.split("=", 1) for line in report_path.read_text().splitlines()
+                      if "=" in line)
+        for metric in ("whdr", "map"):
+            assert fields[f"trace.final_eval_{metric}"] == fields[f"metrics.train.{metric}"]
 
     def test_pairwise_with_large_pair_budget(self, tmp_path):
         data = gen(tmp_path, n_samples=3, items=6)
@@ -420,6 +438,24 @@ class TestPipelineReproducibility:
                 for name in ("data.txt", "params.txt", "train.txt", "report.txt")
             ))
         assert reports[0] == reports[1]
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    parser = build_parser()
+    gen_args = parser.parse_args(["gen-data", "--n-samples", "1", "--seed", "1", "--out", "x"])
+    spec = SyntheticSpec(n_samples=1)
+    assert (gen_args.items, gen_args.dim, gen_args.noise, gen_args.family) == (
+        spec.items_per_sample, spec.feature_dim, spec.noise_sigma, spec.scorer_family)
+    train_args = parser.parse_args(["train", "--data", "x", "--loss", "listnet", "--seed", "1",
+                                    "--out-params", "p"])
+    cfg = TrainConfig(loss="listnet", learning_rate=1.0, epochs=1, seed=1)
+    assert (train_args.momentum, train_args.batch, train_args.points, train_args.pairs,
+            train_args.scorer, train_args.hidden) == (
+        cfg.momentum, cfg.batch, cfg.points_per_sample, cfg.pairs_per_sample, cfg.scorer,
+        cfg.hidden_size)
+    weights = WeightConfig()
+    assert (train_args.gain, train_args.discount, train_args.log_base) == (
+        weights.gain, weights.discount, weights.log_base)
 
 
 def test_console_entrypoint_smoke(tmp_path):
