@@ -12,7 +12,10 @@ and a hand-written ragged dataset with tied ground truth; every loss x
 scorer on both training sets, on whole samples and on ``--points 9
 --pairs 11`` draws; ``--eval-data``; the human format; ``--lr 1e308``
 divergence per loss; eval at several tie thresholds, ``--compare`` and a
-dimension mismatch; gradcheck.
+dimension mismatch; gradcheck.  Hand-written files test the float reader:
+a dataset and a params file whose floats are valid but not written the
+way ``float.hex`` writes them, a dataset with ``\r\n`` line endings and
+one with a bad float token on a known line.
 
 Usage:
     python scripts/cli_cases.py OUT [--src SRC]
@@ -45,6 +48,53 @@ def ragged_dataset(path: Path) -> None:
         lines.append(" ".join([f"r{k}", str(n), str(dim), *map(float.hex, feats + gt)]))
     header = f'depthrank.dataset.v1 dim={dim} samples={len(lines)} meta={{"source":"ragged"}}'
     path.write_text("\n".join([header, *lines]) + "\n", encoding="ascii")
+
+
+def loose_hex(x: float, k: int) -> str:
+    """``x`` in one of four spellings ``float.fromhex`` reads: upper case,
+    trailing mantissa zeros dropped, a "+" before a positive number, and a
+    positive exponent without its "+".  The upper-case one is never how
+    ``float.hex`` writes, so a record of them takes the reader's fallback."""
+    text = float.hex(x)
+    mantissa, exponent = text.split("p")
+    forms = (text.upper(), mantissa.rstrip("0").rstrip(".") + "p" + exponent,
+             text if text.startswith("-") else "+" + text, f"{mantissa}p{int(exponent)}")
+    return forms[k % len(forms)]
+
+
+def hand_written_files(root: Path) -> None:
+    """Datasets and a params file for the float reader's cases."""
+    rng = random.Random(17)
+    dim = 3
+    samples = []
+    for k in range(6):
+        n = 4 + k
+        floats = [rng.gauss(0.0, 1.0) for _ in range(n * dim + n)]
+        samples.append((f"h{k}", n, floats))
+    header = f'depthrank.dataset.v1 dim={dim} samples={len(samples)} meta={{"source":"hand"}}'
+
+    def record(sid, n, floats, fmt):
+        return " ".join([sid, str(n), str(dim), *(fmt(x, i) for i, x in enumerate(floats))])
+
+    def exact(x, i):
+        return float.hex(x)
+
+    exact_records = [record(*s, exact) for s in samples]
+    tokens = exact_records[2].split(" ")
+    tokens[5] = "0x1.gp0"
+    files = {
+        "loose/data.txt": "\n".join([header] + [record(*s, loose_hex) for s in samples]) + "\n",
+        "loose/params.txt": "depthrank.params.v1 family=linear dim=3\n"
+                            "w 0X1.8P+0 -0x1p-1 +0x1.0000000000000p+01\nb 0x.8p0\n",
+        "crlf/data.txt": "\r\n".join([header, *exact_records]) + "\r\n",
+        # a blank line before the record with the bad token: it is line 5
+        "bad-token/data.txt": "\n".join([header, *exact_records[:2], "", " ".join(tokens),
+                                         *exact_records[3:]]) + "\n",
+    }
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text, encoding="ascii")
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -99,6 +149,13 @@ def cases() -> list[tuple[str, list[str]]]:
         ("eval-compare", ["eval", "--params", params, "--compare", other,
                           "--data", "gen-eval/data.txt"]),
         ("eval-dim-mismatch", ["eval", "--params", params, "--data", "gen-mlp/data.txt"]),
+        ("train-loose", ["train", "--data", "loose/data.txt", "--loss", "listmle", *TRAIN,
+                         "--out-params", "train-loose/params.txt"]),
+        ("eval-loose", ["eval", "--params", "loose/params.txt", "--data", "loose/data.txt"]),
+        ("train-crlf", ["train", "--data", "crlf/data.txt", "--loss", "listmle", *TRAIN,
+                        "--out-params", "train-crlf/params.txt"]),
+        ("eval-bad-token", ["eval", "--params", "loose/params.txt",
+                            "--data", "bad-token/data.txt"]),
         ("gradcheck", ["gradcheck"]),
         ("gradcheck-mlp", ["gradcheck", "--cases", "mlp", "--seed", "3", "--instances", "4"]),
         ("gradcheck-tight", ["gradcheck", "--tol", "1e-30", "--instances", "2"]),
@@ -119,6 +176,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     (root / "ragged").mkdir()
     ragged_dataset(root / "ragged" / "data.txt")
+    hand_written_files(root)
     for name, argv in cases():
         case = root / name
         case.mkdir()

@@ -15,9 +15,18 @@ File format (``depthrank.dataset.v1``) — line-delimited text:
     <id> <n> <d> <n*d feature hex-floats> <n raw-score hex-floats>
     ...                                   (exactly m sample lines)
 
-Floats are encoded with ``float.hex`` so round-trips are bit-exact.  The
-params files of :mod:`depthrank.scorer` use the same encoding and the
-same header reader.
+Floats are written as ``float.hex`` writes them, so round-trips are
+bit-exact: ``[-]0x1.<13 hex digits>p<sign><exponent>`` for normal
+numbers, ``[-]0x0.<13 hex digits>p-1022`` for subnormals and
+``[-]0x0.0p+0`` for zero, lowercase, with a decimal exponent from -1022
+to +1023 that has no leading zero and reads ``+0`` for zero.  One numpy
+codec writes a record's floats in one pass and reads a record in which
+every token has that canonical layout in one pass; a record holding any
+other token (``0x1.8p1``, ``0X1P0``, ``+0x1p0``, ``1.5``, ``inf``, an
+empty token ...) is read token by token with ``float.fromhex``, so the
+reader accepts and rejects exactly what ``float.fromhex`` does.  Memory
+stays proportional to one record.  The params files of
+:mod:`depthrank.scorer` use the same codec and the same header reader.
 """
 
 from __future__ import annotations
@@ -104,8 +113,159 @@ class Dataset:
     __hash__ = None
 
 
-def _hex_list(arr: np.ndarray) -> list[str]:
-    return [float(x).hex() for x in arr.ravel()]
+_U64 = np.uint64
+
+
+def _word(pattern: bytes) -> np.uint64:
+    """Up to eight bytes as one little-endian word: byte k is bits 8k to 8k + 7."""
+    return _U64(int.from_bytes(pattern, "little"))
+
+
+def _lanes(byte: int) -> np.uint64:
+    return _word(bytes([byte]) * 8)
+
+
+def _words(patterns) -> np.ndarray:
+    """Each byte string of up to eight bytes as one little-endian word."""
+    return np.frombuffer(b"".join(p.ljust(8, b"\0") for p in patterns), "<u8")
+
+
+def _exponent_tables():
+    """float.hex's exponent fields ("p", sign, decimal digits) as words, by
+    key = (sign is "-") << 10 | min(digits' value, 1023) for reading, and by
+    biased exponent for writing (0, for zero and subnormals, is written like
+    1).  A key float.hex never writes gets a length no field has."""
+    fields = [f"p{sign}{value}".encode() for sign in "+-" for value in range(1024)]
+    text, mask = _words(fields), _words(b"\xff" * len(f) for f in fields)
+    exp = np.maximum(np.arange(2047), 1) - 1023
+    key_of_biased = (exp < 0) << 10 | np.abs(exp)
+    length = np.full(len(fields), -1)
+    length[key_of_biased] = [len(fields[k]) for k in key_of_biased]
+    biased = np.zeros(len(fields), np.uint64)
+    biased[key_of_biased[1:]] = np.arange(1, 2047)
+    keep = mask & _lanes(0x01)
+    return text[key_of_biased], keep[key_of_biased], text, mask, length, biased
+
+
+_EXP_TEXT, _EXP_KEEP, _KEY_TEXT, _KEY_MASK, _KEY_LEN, _KEY_BIASED = _exponent_tables()
+_ZERO_EXP = 1023  # the field "p+0"
+_SUBNORMAL_KEY = 1 << 10 | 1022
+# The two hex digits of every byte.
+_HEX2 = np.frombuffer("".join(f"{v:02x}" for v in range(256)).encode("ascii"), np.uint16)
+# Written token: " -0x<lead>." | 16 hex digits of mantissa << 12 | exponent field.
+_HEAD_TEXT = _words([b"\0\0 -0x0.", b"\0\0 -0x1."])           # by lead digit
+_HEAD_KEEP = _words([b"\0\0\x01\0\x01\x01\x01\x01", b"\0\0\x01\x01\x01\x01\x01\x01"])  # by sign
+_DIGITS_KEEP = _words([b"\x01" * 8, b"\x01" * 5])                 # 13 of the 16 digits
+_ZERO_DIGITS_KEEP = _words([b"\x01", b""])                        # "0x0.0p+0"
+_MANTISSA = _U64((1 << 52) - 1)
+
+
+def _format_floats(values) -> bytes:
+    """``" ".join(float(v).hex() for v in values)`` as ASCII bytes, for
+    finite values (every caller's are), built as one fixed-width row per
+    value whose unused bytes are then dropped."""
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits = x.view(np.uint64)
+    biased = (bits >> _U64(52)).astype(np.intp) & 0x7FF
+    mantissa = bits & _MANTISSA
+    zero = (biased == 0) & (mantissa == 0)
+    text = np.empty((x.size, 4), "<u8")
+    keep = np.empty((x.size, 4), "<u8")
+    text[:, 0] = _HEAD_TEXT.take(biased != 0)
+    biased[zero] = _ZERO_EXP
+    keep[:, 0] = _HEAD_KEEP.take(bits >> _U64(63))
+    digit_pairs = (mantissa << _U64(12)).astype(">u8").view(np.uint8).reshape(-1, 8)
+    text[:, 1:3] = _HEX2.take(digit_pairs).view("<u8")
+    keep[:, 1:3] = _DIGITS_KEEP
+    keep[zero, 1:3] = _ZERO_DIGITS_KEEP
+    text[:, 3] = _EXP_TEXT.take(biased)
+    keep[:, 3] = _EXP_KEEP.take(biased)
+    # every row starts with its separating space; the first one goes
+    return text.view(np.uint8)[keep.view(bool)][1:].tobytes()
+
+
+# A token is read, after its sign, as three words of 8 bytes:
+# "0x" lead "." 4 digits | 8 digits | last digit, exponent field, padding.
+_TOKEN_BYTES = 24
+_PAD = bytes(_TOKEN_BYTES)
+_HEAD_FIXED, _HEAD_FIXED_MASK = _word(b"0x\0."), _word(b"\xff\xff\0\xff")
+_HEAD_DIGITS = _word(b"\0\0\xff\0\xff\xff\xff\xff")  # lead and 4 mantissa digits
+_ZERO_TOKEN = _word(b"0x0.0p+0")
+_L01, _L0F = _lanes(0x01), _lanes(0x0F)
+
+
+def _hex_digits(word: np.ndarray):
+    """Each byte of ``word`` read as a hex digit value (mod 16), and the
+    lowercase digit that writes that value: the two agree exactly on the
+    bytes that are lowercase hex digits."""
+    value = ((word & _L0F) + _U64(9) * ((word >> _U64(6)) & _L01)) & _L0F
+    ten_up = ((value + _lanes(6)) >> _U64(4)) & _L01
+    return value, value + _lanes(0x30) + _U64(0x27) * ten_up
+
+
+def _pack_digits(value: np.ndarray) -> np.ndarray:
+    """The eight digit values of each word, first byte most significant, as
+    one 32-bit number."""
+    value = ((value << _U64(4)) | (value >> _U64(8))) & _U64(0x00FF00FF00FF00FF)
+    value = ((value << _U64(8)) | (value >> _U64(16))) & _U64(0x0000FFFF0000FFFF)
+    return ((value << _U64(16)) | (value >> _U64(32))) & _U64(0xFFFFFFFF)
+
+
+def _canonical_floats(text: str) -> np.ndarray | None:
+    """The floats of the space-separated tokens of ``text`` if every token
+    is laid out as ``float.hex`` writes it, else None.
+
+    Each token is read by column arithmetic on little-endian words and
+    accepted only where ``float.hex`` of its value gives the token back.
+    """
+    if not text.isascii():
+        return None
+    size = len(text)
+    buf = np.frombuffer(text.encode("ascii") + _PAD, np.uint8)
+    spaces = np.flatnonzero(buf[:size] == 32)
+    starts = np.empty(spaces.size + 1, np.intp)
+    starts[0] = 0
+    starts[1:] = spaces + 1
+    negative = buf[starts] == 45
+    starts += negative
+    digits = np.append(spaces, size) - starts - 19  # of the exponent, if canonical
+    rows = np.ndarray((buf.size - _TOKEN_BYTES + 1, 3), "<u8", buf, strides=(1, 8))
+    words = rows[starts]
+    value, written = _hex_digits(words)
+    wrong = words ^ written
+    head, tail = words[:, 0], words[:, 2]
+    ok = (head & _HEAD_FIXED_MASK) == _HEAD_FIXED
+    ok &= (wrong[:, 0] & _HEAD_DIGITS) == 0
+    ok &= wrong[:, 1] == 0
+    ok &= (wrong[:, 2] & _U64(0xFF)) == 0
+    packed = _pack_digits(value)
+    lead = (packed[:, 0] >> _U64(20)) & _U64(0xF)
+    ok &= lead <= 1
+    # the exponent digits right-aligned in four bytes, then summed in pairs
+    shift = _U64(8) * (4 - np.clip(digits, 0, 4)).astype(np.uint64)
+    exp = (((tail >> _U64(24)) & _U64(0x0F0F0F0F)) << shift) & _U64(0xFFFFFFFF)
+    exp = (exp * _U64(10) + (exp >> _U64(8))) & _U64(0x00FF00FF)
+    exp = (exp * _U64(100) + (exp >> _U64(16))) & _U64(0xFFFF)
+    minus = (tail >> _U64(18)) & _U64(1)  # the bit that tells "-" from "+"
+    key = (np.minimum(exp, _U64(1023)) | minus << _U64(10)).astype(np.intp)
+    ok &= ((tail >> _U64(8)) & _KEY_MASK[key]) == _KEY_TEXT[key]
+    ok &= _KEY_LEN[key] == digits + 2
+    mantissa = ((packed[:, 0] & _U64(0xFFFF)) << _U64(36)
+                | packed[:, 1] << _U64(4) | packed[:, 2] >> _U64(28))
+    # lead 0 is a subnormal: exponent -1022 and a nonzero mantissa
+    ok &= (lead == 1) | ((key == _SUBNORMAL_KEY) & (mantissa != 0))
+    zero = digits == len(b"0x0.0p+0") - 19
+    if zero.any():
+        ok[zero] = head[zero] == _ZERO_TOKEN
+        lead[zero] = mantissa[zero] = 0
+    if not ok.all():
+        return None
+    bits = mantissa | (lead * _KEY_BIASED[key]) << _U64(52) | negative.astype(np.uint64) << _U64(63)
+    return bits.view(np.float64)
+
+
+def _hex_list(values) -> list[str]:
+    return _format_floats(values).decode("ascii").split(" ")
 
 
 def _draw_hidden(rng: SplitMix64, spec: SyntheticSpec) -> dict:
@@ -127,17 +287,25 @@ def _draw_hidden(rng: SplitMix64, spec: SyntheticSpec) -> dict:
     }
 
 
+def _hidden_scorer(hidden: dict, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The hidden generator as a function of an (n, dim) feature matrix,
+    its weights decoded once."""
+    def weights(key):
+        # The hidden scorer lives in the dataset header's meta, on line 1.
+        return _parse_floats(" ".join(hidden[key]), 1)
+
+    if hidden["family"] == FAMILY_LINEAR:
+        w = weights("w")
+        return lambda features: features @ w
+    w_hidden = weights("w_hidden").reshape(hidden["hidden"], dim)
+    b_hidden = weights("b_hidden")
+    w_out = weights("w_out")
+    return lambda features: np.tanh(features @ w_hidden.T + b_hidden) @ w_out
+
+
 def hidden_raw_scores(hidden: dict, features: np.ndarray) -> np.ndarray:
     """Noise-free raw scores of the hidden generator for given features."""
-    # The hidden scorer lives in the dataset header's meta, on line 1.
-    if hidden["family"] == FAMILY_LINEAR:
-        return features @ _parse_floats(hidden["w"], 1)
-    h = hidden["hidden"]
-    d = features.shape[1]
-    w_hidden = _parse_floats(hidden["w_hidden"], 1).reshape(h, d)
-    b_hidden = _parse_floats(hidden["b_hidden"], 1)
-    w_out = _parse_floats(hidden["w_out"], 1)
-    return np.tanh(features @ w_hidden.T + b_hidden) @ w_out
+    return _hidden_scorer(hidden, features.shape[1])(features)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -145,10 +313,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = SplitMix64(spec.seed)
     hidden = _draw_hidden(rng, spec)
     n, d = spec.items_per_sample, spec.feature_dim
+    hidden_scores = _hidden_scorer(hidden, d)
     samples = []
     for idx in range(spec.n_samples):
         features = rng.normals(n * d).reshape(n, d)
-        raw = hidden_raw_scores(hidden, features)
+        raw = hidden_scores(features)
         if spec.noise_sigma > 0:
             raw = raw + spec.noise_sigma * rng.normals(n)
         samples.append(RankedSample(id=f"s{idx:05d}", items=features, gt_scores=raw))
@@ -209,28 +378,49 @@ def _meta_json(meta: dict) -> str:
 
 
 def write_dataset(ds: Dataset, path: str | os.PathLike) -> None:
-    lines = [
-        f"{DATASET_FORMAT} dim={ds.feature_dim} samples={len(ds)} meta={_meta_json(ds.meta)}"
-    ]
+    header = f"{DATASET_FORMAT} dim={ds.feature_dim} samples={len(ds)} meta={_meta_json(ds.meta)}"
     for s in ds.samples:
         if any(c.isspace() for c in s.id):
             raise InvalidInputError(f"sample id may not contain whitespace: {s.id!r}")
-        tokens = [s.id, str(s.n), str(s.dim)]
-        tokens += _hex_list(s.items)
-        tokens += _hex_list(s.gt_scores)
-        lines.append(" ".join(tokens))
-    _write_lines(path, lines)
+        if not s.id.isascii():
+            raise InvalidInputError(f"sample id must be ASCII: {s.id!r}")
+    _write_records(path, header, (
+        b"%s %d %d %s" % (s.id.encode("ascii"), s.n, s.dim,
+                          _format_floats(np.concatenate((s.items.ravel(), s.gt_scores))))
+        for s in ds.samples
+    ))
 
 
-def _write_lines(path: str | os.PathLike, lines: list[str]) -> None:
-    """Write ASCII text lines, each ending in a newline."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_records(path: str | os.PathLike, header: str, records: Iterable[bytes]) -> None:
+    """Write the header and then each ASCII record as one line, encoding one
+    record at a time.  An error while writing removes the file (a regular
+    file; a device is left alone), so no partial file is left behind."""
+    with open(path, "wb") as fh:
+        try:
+            fh.write(header.encode("ascii"))
+            fh.write(b"\n")
+            for record in records:
+                fh.write(record)
+                fh.write(b"\n")
+        except BaseException:
+            fh.close()
+            if os.path.isfile(path):
+                os.remove(path)
+            raise
 
 
-def _parse_floats(tokens: Iterable[str], line_no: int) -> np.ndarray:
+def _parse_floats(text: str, line_no: int) -> np.ndarray:
+    """The floats of ``text``, hex-float tokens separated by single spaces."""
+    values = _canonical_floats(text)
+    return _fromhex_floats(text, line_no) if values is None else values
+
+
+def _fromhex_floats(text: str, line_no: int) -> np.ndarray:
+    """The floats of ``text`` token by token with ``float.fromhex``, for
+    records :func:`_canonical_floats` does not read; a token it rejects is
+    a format error at ``line_no``."""
     try:
-        return np.array([float.fromhex(t) for t in tokens], dtype=np.float64)
+        return np.array([float.fromhex(t) for t in text.split(" ")], dtype=np.float64)
     except ValueError as exc:
         raise DatasetFormatError(f"bad float token: {exc}", line=line_no) from exc
 
@@ -280,12 +470,12 @@ def read_dataset(path: str | os.PathLike) -> Dataset:
         )
     samples = []
     for line_no, line in body:
-        tokens = line.split(" ")
-        if len(tokens) < 3:
+        prefix = line.split(" ", 3)
+        if len(prefix) < 3:
             raise DatasetFormatError("sample record needs 'id n d' prefix", line=line_no)
-        sid = tokens[0]
+        sid = prefix[0]
         try:
-            n, d = int(tokens[1]), int(tokens[2])
+            n, d = int(prefix[1]), int(prefix[2])
         except ValueError as exc:
             raise DatasetFormatError(f"bad sample counts: {exc}", line=line_no) from exc
         if d != dim:
@@ -293,13 +483,18 @@ def read_dataset(path: str | os.PathLike) -> Dataset:
                 f"sample {sid!r} declares feature_dim {d}, header says {dim}", line=line_no
             )
         expected = 3 + n * d + n
-        if len(tokens) != expected:
+        text = prefix[3] if len(prefix) > 3 else ""
+        values = _canonical_floats(text)
+        found = 3 + values.size if values is not None else line.count(" ") + 1
+        if found != expected:
             raise DatasetFormatError(
-                f"sample {sid!r}: expected {expected} tokens, found {len(tokens)}",
+                f"sample {sid!r}: expected {expected} tokens, found {found}",
                 line=line_no,
             )
-        feats = _parse_floats(tokens[3 : 3 + n * d], line_no).reshape(n, d)
-        scores = _parse_floats(tokens[3 + n * d :], line_no)
+        if values is None:
+            values = _fromhex_floats(text, line_no) if found > 3 else np.empty(0)
+        feats = values[: n * d].reshape(n, d)
+        scores = values[n * d :]
         try:
             samples.append(RankedSample(id=sid, items=feats, gt_scores=scores))
         except InvalidInputError as exc:

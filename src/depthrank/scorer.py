@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import _hex_list, _parse_floats, _read_text, _write_lines
+from .data import _format_floats, _parse_floats, _read_text, _write_records
 from .errors import DatasetFormatError, InvalidInputError
 from .rng import SplitMix64
 
@@ -214,10 +214,10 @@ def vector_to_params(vec: np.ndarray, template: ScorerParams) -> ScorerParams:
 def write_params(params: ScorerParams, path) -> None:
     header = [PARAMS_FORMAT, f"family={params.family}"]
     header += [f"{axis}={n}" for axis, n in params.sizes.items()]
-    _write_lines(path, [" ".join(header)] + [
-        " ".join([name, *_hex_list(np.asarray(getattr(params, name)))])
+    _write_records(path, " ".join(header), (
+        b"%s %s" % (name.encode("ascii"), _format_floats(getattr(params, name)))
         for name, _ in _layout(type(params))
-    ])
+    ))
 
 
 def _params_header(header: dict):
@@ -236,14 +236,15 @@ def _params_header(header: dict):
 def _read_record(lines: list[str], line_no: int, name: str, shape: tuple[int, ...]) -> np.ndarray:
     if line_no > len(lines):
         raise DatasetFormatError(f"missing {name!r} record", line=line_no)
-    tokens = lines[line_no - 1].split(" ")
-    count = math.prod(shape)
-    if tokens[0] != name or len(tokens) != count + 1:
+    line = lines[line_no - 1]
+    found, _, text = line.partition(" ")
+    count, found_count = math.prod(shape), line.count(" ")
+    if found != name or found_count != count:
         raise DatasetFormatError(
-            f"expected {name!r} with {count} values, got {tokens[0]!r} with {len(tokens) - 1}",
+            f"expected {name!r} with {count} values, got {found!r} with {found_count}",
             line=line_no,
         )
-    values = _parse_floats(tokens[1:], line_no)
+    values = _parse_floats(text, line_no)
     if not np.isfinite(values).all():
         raise DatasetFormatError(f"{name!r} values must be finite", line=line_no)
     return values.reshape(shape)

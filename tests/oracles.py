@@ -309,3 +309,31 @@ def one_list_weighted_nll(order, weights, z):
     grad = np.empty_like(z)
     grad[order] = grad_sorted
     return value, grad
+
+
+def hex_list(values) -> list[str]:
+    """``float.hex`` of each value: the package's former per-float encoder."""
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def fromhex_floats(tokens) -> np.ndarray:
+    """``float.fromhex`` of each token: the package's former per-float
+    decoder, raising whatever ``float.fromhex`` raises."""
+    return np.array([float.fromhex(t) for t in tokens], dtype=np.float64)
+
+
+def dataset_text(header: str, samples) -> str:
+    """A dataset file as the package's former writer built it: the header
+    line, then one ``id n d features scores`` line per sample."""
+    lines = [header]
+    for sample_id, items, scores in samples:
+        n, d = np.shape(items)
+        lines.append(" ".join([sample_id, str(n), str(d), *hex_list(items), *hex_list(scores)]))
+    return "\n".join(lines) + "\n"
+
+
+def params_text(header: str, fields) -> str:
+    """A params file as the package's former writer built it: the header
+    line, then one ``name values`` line per ``(name, array)`` field."""
+    lines = [header] + [" ".join([name, *hex_list(values)]) for name, values in fields]
+    return "\n".join(lines) + "\n"

@@ -297,6 +297,32 @@ class TestDatasetIO:
         with pytest.raises(InvalidInputError):
             write_dataset(ds, tmp_path / "w.txt")
 
+    def test_rejects_non_ascii_ids_before_opening_the_file(self, tmp_path):
+        s = make_sample()
+        ds = Dataset(samples=(s, RankedSample(id="é1", items=s.items, gt_scores=s.gt_scores)))
+        path = tmp_path / "w.txt"
+        with pytest.raises(InvalidInputError, match="ASCII"):
+            write_dataset(ds, path)
+        assert not path.exists()
+
+    def test_error_while_writing_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        from depthrank import data
+
+        calls = []
+
+        def fail_on_second_record(values):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return format_floats(values)
+
+        format_floats = data._format_floats
+        monkeypatch.setattr(data, "_format_floats", fail_on_second_record)
+        path = tmp_path / "w.txt"
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(generate_synthetic(small_spec()), path)
+        assert len(calls) == 2 and not path.exists()
+
 
 class TestDatasetInvariants:
     def test_rejects_mixed_dims(self):
