@@ -7,15 +7,17 @@ case, ``OUT/<case>/`` receives ``stdout.txt``, ``stderr.txt``,
 ``exit.txt`` and every file the case writes.  Trees made from two source
 trees show any change in CLI output with ``diff -r``.
 
-Cases: synthetic datasets (linear, MLP, an eval set, one of 6000 items)
-and a hand-written ragged dataset with tied ground truth; every loss x
-scorer on both training sets, on whole samples and on ``--points 9
---pairs 11`` draws; ``--eval-data``; the human format; ``--lr 1e308``
-divergence per loss; eval at several tie thresholds, ``--compare`` and a
-dimension mismatch; gradcheck.  Hand-written files test the float reader:
-a dataset and a params file whose floats are valid but not written the
-way ``float.hex`` writes them, a dataset with ``\r\n`` line endings and
-one with a bad float token on a known line.
+Cases: synthetic datasets (linear, MLP, an eval set, one of 6000 items,
+one of more samples than the trainer's trace eval scores) and a
+hand-written ragged dataset with tied ground truth; every loss x scorer
+on both training sets, on whole samples and on ``--points 9 --pairs 11``
+draws; ``--eval-data``; the human format; ``--lr 1e308`` divergence per
+loss; eval at several tie thresholds, ``--compare`` and a dimension
+mismatch; gradcheck.  Hand-written files test the readers: a dataset and
+a params file whose floats are valid but not written the way
+``float.hex`` writes them, a dataset with ``\r\n`` line endings, and
+datasets and a params file that are malformed on a known line (a bad or
+overflowing float token, a non-finite feature, a signed count).
 
 Usage:
     python scripts/cli_cases.py OUT [--src SRC]
@@ -63,7 +65,7 @@ def loose_hex(x: float, k: int) -> str:
 
 
 def hand_written_files(root: Path) -> None:
-    """Datasets and a params file for the float reader's cases."""
+    """Datasets and params files for the readers' cases."""
     rng = random.Random(17)
     dim = 3
     samples = []
@@ -80,16 +82,30 @@ def hand_written_files(root: Path) -> None:
         return float.hex(x)
 
     exact_records = [record(*s, exact) for s in samples]
-    tokens = exact_records[2].split(" ")
-    tokens[5] = "0x1.gp0"
+
+    def with_token(k, at, token):
+        """Exact record ``k`` with its token ``at`` replaced."""
+        tokens = exact_records[k].split(" ")
+        tokens[at] = token
+        return " ".join(tokens)
+
+    def malformed(k, text):
+        """The exact dataset with record ``k`` (line ``k + 2``) replaced."""
+        return "\n".join([header, *exact_records[:k], text, *exact_records[k + 1:]]) + "\n"
+
     files = {
         "loose/data.txt": "\n".join([header] + [record(*s, loose_hex) for s in samples]) + "\n",
         "loose/params.txt": "depthrank.params.v1 family=linear dim=3\n"
                             "w 0X1.8P+0 -0x1p-1 +0x1.0000000000000p+01\nb 0x.8p0\n",
         "crlf/data.txt": "\r\n".join([header, *exact_records]) + "\r\n",
         # a blank line before the record with the bad token: it is line 5
-        "bad-token/data.txt": "\n".join([header, *exact_records[:2], "", " ".join(tokens),
-                                         *exact_records[3:]]) + "\n",
+        "bad-token/data.txt": "\n".join([header, *exact_records[:2], "",
+                                         with_token(2, 5, "0x1.gp0"), *exact_records[3:]]) + "\n",
+        "overflow/data.txt": malformed(3, with_token(3, 4, "0x1p5000")),
+        "overflow/params.txt": "depthrank.params.v1 family=linear dim=3\n"
+                               "w 0x1p0 0x1p5000 0x1p0\nb 0x0p0\n",
+        "non-finite/data.txt": malformed(1, with_token(1, 6, "inf")),
+        "plus-count/data.txt": malformed(2, with_token(2, 1, "+" + str(samples[2][1]))),
     }
     for name, text in files.items():
         path = root / name
@@ -108,6 +124,9 @@ def cases() -> list[tuple[str, list[str]]]:
                       "--seed", "9", "--out", "gen-eval/data.txt"]),
         ("gen-long", ["gen-data", "--n-samples", "12", "--items", "500", "--dim", "4",
                       "--noise", "0.5", "--seed", "10", "--out", "gen-long/data.txt"]),
+        # more samples than the trainer's trace eval scores (EVAL_SAMPLES)
+        ("gen-many", ["gen-data", "--n-samples", "105", "--items", "5", "--dim", "4",
+                      "--noise", "0.3", "--seed", "12", "--out", "gen-many/data.txt"]),
     ]
     for data in ("gen-linear", "ragged"):
         for loss in LOSSES:
@@ -131,6 +150,9 @@ def cases() -> list[tuple[str, list[str]]]:
         # more items than one rank-kernel call takes
         ("train-long", ["train", "--data", "gen-long/data.txt", "--loss", "listnet", *TRAIN,
                         "--out-params", "train-long/params.txt"]),
+        # trace.final_eval_* score the first 100 samples, metrics.train.* all 105
+        ("train-many", ["train", "--data", "gen-many/data.txt", "--loss", "weighted-listmle",
+                        *TRAIN, "--out-params", "train-many/params.txt"]),
     ]
     for loss in LOSSES:
         name = f"train-diverge-{loss}"
@@ -156,6 +178,14 @@ def cases() -> list[tuple[str, list[str]]]:
                         "--out-params", "train-crlf/params.txt"]),
         ("eval-bad-token", ["eval", "--params", "loose/params.txt",
                             "--data", "bad-token/data.txt"]),
+        ("eval-overflow", ["eval", "--params", "loose/params.txt",
+                           "--data", "overflow/data.txt"]),
+        ("eval-overflow-params", ["eval", "--params", "overflow/params.txt",
+                                  "--data", "loose/data.txt"]),
+        ("eval-non-finite", ["eval", "--params", "loose/params.txt",
+                             "--data", "non-finite/data.txt"]),
+        ("eval-plus-count", ["eval", "--params", "loose/params.txt",
+                             "--data", "plus-count/data.txt"]),
         ("gradcheck", ["gradcheck"]),
         ("gradcheck-mlp", ["gradcheck", "--cases", "mlp", "--seed", "3", "--instances", "4"]),
         ("gradcheck-tight", ["gradcheck", "--tol", "1e-30", "--instances", "2"]),

@@ -169,8 +169,8 @@ def _train_report(args, cfg, ds, eval_ds, params, trace) -> report.ExperimentRep
         trace_summary = report.TraceSummary(
             epochs=len(trace),
             final_train_loss=trace.train_loss[-1],
-            final_eval_whdr=trace.eval_whdr[-1],
-            final_eval_map=trace.eval_map[-1],
+            final_eval_whdr=trace.final_eval_whdr,
+            final_eval_map=trace.final_eval_map,
         )
     return report.ExperimentReport(
         kind="train", seed=cfg.seed, config=cfg_echo, metrics=splits, trace=trace_summary

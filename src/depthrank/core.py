@@ -125,7 +125,7 @@ class RankedSample:
                 f"items must be a non-empty (n, d) matrix, got shape {items.shape}"
             )
         if not np.isfinite(items).all():
-            raise InvalidInputError(f"sample {self.id!r}: item features must be finite")
+            raise InvalidInputError("item features must be finite")
         scores = as_score_vector(self.gt_scores, n=items.shape[0])
         items.flags.writeable = False
         scores.flags.writeable = False

@@ -417,11 +417,11 @@ def _parse_floats(text: str, line_no: int) -> np.ndarray:
 
 def _fromhex_floats(text: str, line_no: int) -> np.ndarray:
     """The floats of ``text`` token by token with ``float.fromhex``, for
-    records :func:`_canonical_floats` does not read; a token it rejects is
-    a format error at ``line_no``."""
+    records :func:`_canonical_floats` does not read; a token it rejects or
+    cannot represent (``0x1p5000``) is a format error at ``line_no``."""
     try:
         return np.array([float.fromhex(t) for t in text.split(" ")], dtype=np.float64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"bad float token: {exc}", line=line_no) from exc
 
 
@@ -455,8 +455,17 @@ def _read_text(path: str | os.PathLike, fmt: str, parse_header: Callable[[dict],
         raise DatasetFormatError(f"malformed header: {exc}", line=1) from exc
 
 
+def _parse_count(name: str, text: str) -> int:
+    """A count as the writers write it, ASCII digits only: ``int`` alone
+    also takes a sign, underscores and surrounding whitespace."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} must be ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _dataset_header(fields: dict):
-    return int(fields["dim"]), int(fields["samples"]), json.loads(fields["meta"])
+    return (_parse_count("dim", fields["dim"]), _parse_count("samples", fields["samples"]),
+            json.loads(fields["meta"]))
 
 
 def read_dataset(path: str | os.PathLike) -> Dataset:
@@ -475,7 +484,7 @@ def read_dataset(path: str | os.PathLike) -> Dataset:
             raise DatasetFormatError("sample record needs 'id n d' prefix", line=line_no)
         sid = prefix[0]
         try:
-            n, d = int(prefix[1]), int(prefix[2])
+            n, d = _parse_count("n", prefix[1]), _parse_count("d", prefix[2])
         except ValueError as exc:
             raise DatasetFormatError(f"bad sample counts: {exc}", line=line_no) from exc
         if d != dim:

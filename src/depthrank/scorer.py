@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import _format_floats, _parse_floats, _read_text, _write_records
+from .data import _format_floats, _parse_count, _parse_floats, _read_text, _write_records
 from .errors import DatasetFormatError, InvalidInputError
 from .rng import SplitMix64
 
@@ -226,7 +226,7 @@ def _params_header(header: dict):
     if cls is None:
         raise DatasetFormatError(f"unknown scorer family {family!r}", line=1)
     used = {axis for _, axes in _layout(cls) for axis in axes}
-    sizes = {axis: int(header[axis]) for axis in SIZES if axis in used}
+    sizes = {axis: _parse_count(axis, header[axis]) for axis in SIZES if axis in used}
     for axis, n in sizes.items():
         if n < 1:
             raise ValueError(f"{axis} must be >= 1: {n}")

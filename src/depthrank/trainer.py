@@ -17,8 +17,10 @@ deterministic given the config seed: sample order, per-epoch point/pair
 subsampling, and MLP initialization all flow from one
 :class:`~depthrank.rng.SplitMix64` stream.  A non-finite batch loss,
 gradient or parameter vector raises :class:`TrainingDivergedError`.
-Per-epoch trace metrics (WHDR and MAP on the first :data:`EVAL_SAMPLES`
-training samples) come from the rank kernel of :mod:`depthrank.metrics`.
+The trace keeps each epoch's mean loss and seconds.  Its metrics (WHDR
+and MAP on the first :data:`EVAL_SAMPLES` training samples, from the rank
+kernel of :mod:`depthrank.metrics`) are computed once per run, on the
+params of the last completed epoch.
 """
 
 from __future__ import annotations
@@ -94,12 +96,15 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch training record; list lengths equal the epochs completed."""
+    """Training record.  ``train_loss`` and ``epoch_seconds`` hold one entry
+    per completed epoch; an epoch's seconds do not include trace eval.
+    ``final_eval_whdr`` and ``final_eval_map`` score the params of the last
+    completed epoch, and are ``None`` until an epoch completes."""
 
     train_loss: list[float] = field(default_factory=list)
-    eval_whdr: list[float] = field(default_factory=list)
-    eval_map: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
+    final_eval_whdr: float | None = None
+    final_eval_map: float | None = None
 
     def __len__(self) -> int:
         return len(self.train_loss)
@@ -283,7 +288,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     per epoch (the whole sample when it is at least as large); the
     pairwise loss redraws ``pairs_per_sample`` pairs.  Batch losses are
     means over the samples of the batch; each batch is one batched step,
-    as :func:`backprop_batch` computes it.  Raises :class:`InvalidInputError`
+    as :func:`backprop_batch` computes it.  Trace eval runs once, on the
+    params of the last completed epoch.  Raises :class:`InvalidInputError`
     before training when a sample has one item, which trace eval cannot
     score, and :class:`TrainingDivergedError` (carrying the partial trace, the
     last finite params and the 1-based epoch and batch) when a loss, gradient
@@ -303,9 +309,10 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
         pool = _ListPool(dataset.samples, [draw_target(s, cfg) for s in dataset.samples])
     eval_ctx = _make_eval_context(dataset.samples[:EVAL_SAMPLES])
     trace = TrainTrace()
-    try:
-        # divergence is caught by the finiteness checks, not by numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+    epoch_params = diverged = None
+    # divergence is caught by the finiteness checks, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             for _epoch in range(cfg.epochs):
                 t0 = time.perf_counter()
                 order = rng.permutation(m)
@@ -327,18 +334,21 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
                     )
                     params = vector_to_params(vec, params)
                     epoch_loss += total_val
-                whdr_val, map_val = _trace_eval(params, eval_ctx)
                 trace.train_loss.append(epoch_loss / m)
-                trace.eval_whdr.append(whdr_val)
-                trace.eval_map.append(map_val)
                 trace.epoch_seconds.append(time.perf_counter() - t0)
-    except TrainingDivergedError as exc:
+                # a step builds new params and never mutates these
+                epoch_params = params
+        except TrainingDivergedError as exc:
+            diverged = exc
+        if epoch_params is not None:
+            trace.final_eval_whdr, trace.final_eval_map = _trace_eval(epoch_params, eval_ctx)
+    if diverged is not None:
         # the epoch under way is the one after those the trace completed
-        located = TrainingDivergedError(str(exc), epoch=len(trace) + 1, batch=batch_no)
+        located = TrainingDivergedError(str(diverged), epoch=len(trace) + 1, batch=batch_no)
         # params are the last finite ones: sgd_step rejects a non-finite update
         located.trace = trace
         located.params = params
-        raise located from exc
+        raise located from diverged
     return params, trace
 
 

@@ -328,6 +328,20 @@ class TestEvalCommand:
         assert code == EXIT_FAILURE
         assert capsys.readouterr().err.startswith("error: line 2: ")
 
+    def test_overflowing_float_token_is_failure_at_its_line(self, tmp_path, capsys):
+        data = gen(tmp_path, dim=4)
+        params_path = tmp_path / "p.txt"
+        write_params(LinearScorer(w=np.zeros(4), b=0.0), params_path)
+        lines = data.read_text().split("\n")
+        tokens = lines[1].split(" ")
+        tokens[3] = "0x1p5000"
+        lines[1] = " ".join(tokens)
+        data.write_text("\n".join(lines))
+        code = run("eval", "--params", str(params_path), "--data", str(data))
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "error: line 2: bad float token: hexadecimal value too large to represent as a float\n")
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_non_ascii_dataset_is_failure_at_its_line(self, tmp_path, capsys, command):
         data = gen(tmp_path, dim=4)

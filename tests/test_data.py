@@ -7,6 +7,7 @@ from depthrank.core import RankedSample, pairs_from_permutation, permutation_fro
 from depthrank.data import (
     Dataset,
     SyntheticSpec,
+    _parse_count,
     generate_synthetic,
     hidden_raw_scores,
     normalize_relevance,
@@ -290,6 +291,38 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="line 5") as info:
             read_dataset(path)
         assert info.value.line == 5
+
+    def test_non_finite_feature_names_the_sample_once(self, tmp_path):
+        one = float(1.0).hex()
+        path = tmp_path / "n.txt"
+        path.write_text("\n".join([
+            "depthrank.dataset.v1 dim=2 samples=1 meta={}",
+            f"s0 1 2 {one} inf {one}",
+        ]) + "\n")
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(path)
+        assert str(info.value) == "line 2: sample 's0': item features must be finite"
+
+    @pytest.mark.parametrize("header, record, message", [
+        ("dim=+2 samples=1", "s0 1 2", "line 1: malformed header: dim must be ASCII digits, got '+2'"),
+        ("dim=2 samples=0_1", "s0 1 2",
+         "line 1: malformed header: samples must be ASCII digits, got '0_1'"),
+        ("dim=2 samples=1", "s0 +1 2", "line 2: bad sample counts: n must be ASCII digits, got '+1'"),
+        ("dim=2 samples=1", "s0 1 0_2", "line 2: bad sample counts: d must be ASCII digits, got '0_2'"),
+    ])
+    def test_counts_are_ascii_digits(self, tmp_path, header, record, message):
+        one = float(1.0).hex()
+        path = tmp_path / "c.txt"
+        path.write_text(f"depthrank.dataset.v1 {header} meta={{}}\n{record} {one} {one} {one}\n")
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["", "+3", "-3", "0_3", " 3", "3.0", "\uff13", "\u00b2"])
+    def test_parse_count_takes_only_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="n must be ASCII digits"):
+            _parse_count("n", text)
+        assert _parse_count("n", "03") == 3
 
     def test_rejects_whitespace_ids(self, tmp_path):
         s = make_sample()

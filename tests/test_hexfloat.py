@@ -103,13 +103,10 @@ class TestParse:
         text = token[:at] + char + token[at + (not insert):]
         try:
             want = fromhex_floats(text.split(" "))
-        except ValueError as exc:
-            with pytest.raises(DatasetFormatError, match=f"bad float token: {exc}"):
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(DatasetFormatError) as info:
                 _parse_floats(text, 2)
-            return
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                _parse_floats(text, 2)
+            assert str(info.value) == f"line 2: bad float token: {exc}"
             return
         if _canonical_floats(text) is not None:
             assert " ".join(hex_list(want)) == text
@@ -128,12 +125,13 @@ class TestParse:
         else:
             assert same_bits(_parse_floats(text, 7), fromhex_floats(text.split(" ")))
 
-    def test_overflowing_token_raises_what_fromhex_raises(self):
+    def test_overflowing_token_is_a_format_error_at_its_line(self):
         with pytest.raises(OverflowError) as want:
             float.fromhex("0x1p5000")
-        with pytest.raises(OverflowError) as got:
+        with pytest.raises(DatasetFormatError) as got:
             _parse_floats("0x1.0000000000000p+0 0x1p5000", 2)
-        assert str(got.value) == str(want.value)
+        assert got.value.line == 2
+        assert str(got.value) == f"line 2: bad float token: {want.value}"
 
 
 def write_lines(path, lines, end="\n"):
@@ -198,7 +196,8 @@ class TestFiles:
         assert same_bits(ds.samples[0].gt_scores, fromhex_floats(tokens[4:]))
         assert same_bits(ds.samples[1].items, [[1.0, -0.5]])
 
-    @pytest.mark.parametrize("bad", ["zzz", "", "0x1.0000000000000p+0\x0b", "0x1.0000000000000q+0"])
+    @pytest.mark.parametrize("bad", ["zzz", "", "0x1.0000000000000p+0\x0b", "0x1.0000000000000q+0",
+                                     "0x1p5000"])
     def test_bad_token_after_blank_lines_names_its_line(self, tmp_path, bad):
         one = float(1.0).hex()
         path = write_lines(tmp_path / "d.txt", [
@@ -211,7 +210,7 @@ class TestFiles:
             with pytest.raises(DatasetFormatError, match="expected 2 sample records"):
                 read_dataset(path)
             return
-        with pytest.raises(ValueError) as want:
+        with pytest.raises((ValueError, OverflowError)) as want:
             float.fromhex(bad)
         with pytest.raises(DatasetFormatError) as info:
             read_dataset(path)
@@ -230,6 +229,8 @@ class TestFiles:
         ("w 0x1.0000000000000p+0 inf", "'w' values must be finite"),
         ("w 0x1.0000000000000p+0 zz", "bad float token: invalid hexadecimal floating-point string"),
         ("w 0x1.0000000000000p+0", "expected 'w' with 2 values, got 'w' with 1"),
+        ("w 0x1.0000000000000p+0 0x1p5000",
+         "bad float token: hexadecimal value too large to represent as a float"),
     ])
     def test_params_errors_keep_their_messages(self, tmp_path, record, message):
         path = write_lines(tmp_path / "p.txt", [

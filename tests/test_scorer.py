@@ -43,6 +43,23 @@ def test_malformed_params_file_names_its_line(tmp_path, lines, line_no):
     assert str(info.value).startswith(f"line {line_no}: ")
 
 
+@pytest.mark.parametrize("header, message", [
+    ("family=linear dim=+2", "dim must be ASCII digits, got '+2'"),
+    ("family=mlp dim=2 hidden=0_1", "hidden must be ASCII digits, got '0_1'"),
+])
+def test_header_sizes_are_ascii_digits(tmp_path, header, message):
+    with pytest.raises(DatasetFormatError) as info:
+        read_params(write(tmp_path, f"depthrank.params.v1 {header}", W, B))
+    assert str(info.value) == f"line 1: malformed header: {message}"
+
+
+def test_overflowing_value_is_a_format_error_at_its_line(tmp_path):
+    with pytest.raises(DatasetFormatError) as info:
+        read_params(write(tmp_path, LINEAR, W, "b 0x1p5000"))
+    assert str(info.value) == (
+        "line 3: bad float token: hexadecimal value too large to represent as a float")
+
+
 def test_non_ascii_byte_names_its_line(tmp_path):
     path = tmp_path / "p.txt"
     path.write_bytes(f"{LINEAR}\r\n{W}\r\n".encode() + b"b 0x1p+0\xff\r\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -25,6 +26,7 @@ from depthrank.scorer import (
     write_params,
 )
 from depthrank.trainer import (
+    EVAL_SAMPLES,
     GRADCHECK_TOLERANCES,
     LOSS_KINDS,
     TrainConfig,
@@ -309,6 +311,29 @@ class TestDrawTarget:
             draw_target(sample, loss_config("pairwise"))
 
 
+def counted_trace_eval(monkeypatch):
+    """Replace the trainer's trace eval with a wrapper that records the
+    params of each call."""
+    import depthrank.trainer
+
+    seen = []
+
+    def counting(params, ctx):
+        seen.append(params)
+        return _trace_eval(params, ctx)
+
+    monkeypatch.setattr(depthrank.trainer, "_trace_eval", counting)
+    return seen
+
+
+def diverging_setup():
+    """The CLI's default config on a 12-sample set at ``lr=1e308``: one batch
+    per epoch, and ListNet and pairwise complete epoch 1 and diverge in epoch 2."""
+    ds = generate_synthetic(SyntheticSpec(n_samples=12, items_per_sample=14, feature_dim=4,
+                                          noise_sigma=0.3, seed=5))
+    return ds, TrainConfig(loss="listnet", learning_rate=1e308, epochs=3, seed=1)
+
+
 class TestTraceEval:
     def test_matches_evaluate_bit_for_bit(self):
         # more items than one rank-kernel call takes: MAP bits depend on the runs
@@ -318,6 +343,63 @@ class TestTraceEval:
         got = _trace_eval(params, _make_eval_context(ds.samples))
         report = evaluate(ds.samples, [score(params, s.items) for s in ds.samples])
         assert got == (report.whdr, report.map)
+
+    def test_a_run_scores_its_first_eval_samples(self):
+        ds = tiny_dataset(n_samples=EVAL_SAMPLES + 5)
+        cfg = TrainConfig(loss="weighted-listmle", learning_rate=0.1, epochs=2, seed=7)
+        params, trace = train(ds, cfg)
+        first = ds.samples[:EVAL_SAMPLES]
+        report = evaluate(first, [score(params, s.items) for s in first])
+        assert (trace.final_eval_whdr, trace.final_eval_map) == (report.whdr, report.map)
+
+    def test_once_for_a_finished_run_on_its_params(self, monkeypatch):
+        seen = counted_trace_eval(monkeypatch)
+        cfg = TrainConfig(loss="weighted-listmle", learning_rate=0.1, epochs=4, seed=7, batch=2)
+        params, trace = train(tiny_dataset(), cfg)
+        assert len(seen) == 1 and seen[0] is params
+        assert len(trace) == 4 and len(trace.epoch_seconds) == 4
+
+    @pytest.mark.parametrize("loss", ["listnet", "pairwise"])
+    def test_once_for_a_run_that_diverges_after_an_epoch(self, monkeypatch, loss):
+        seen = counted_trace_eval(monkeypatch)
+        ds, cfg = diverging_setup()
+        with pytest.raises(TrainingDivergedError) as info:
+            train(ds, dataclasses.replace(cfg, loss=loss))
+        assert (info.value.epoch, len(info.value.trace)) == (2, 1)
+        # the failing epoch's first batch never updated the params
+        assert len(seen) == 1 and seen[0] is info.value.params
+
+    def test_never_for_a_run_that_diverges_in_epoch_1(self, monkeypatch):
+        seen = counted_trace_eval(monkeypatch)
+        rng = SplitMix64(5)
+        samples = tuple(
+            RankedSample(id=f"d{i}", items=rng.normals(12).reshape(6, 2),
+                         gt_scores=[1.0, 1.0, 0.0, 0.0, 2.0, 2.0])
+            for i in range(4)
+        )
+        cfg = TrainConfig(loss="pairwise", learning_rate=1e100, epochs=5, seed=5,
+                          pairs_per_sample=30, batch=1)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(Dataset(samples=samples), cfg)
+        assert info.value.epoch == 1 and seen == []
+        trace = info.value.trace
+        assert trace.final_eval_whdr is None and trace.final_eval_map is None
+
+    @pytest.mark.parametrize("loss", ["listnet", "pairwise"])
+    def test_diverged_run_scores_like_the_run_of_its_completed_epochs(self, loss):
+        ds, cfg = diverging_setup()
+        cfg = dataclasses.replace(cfg, loss=loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as info:
+                train(ds, cfg)
+            k = len(info.value.trace)
+            params, trace = train(ds, dataclasses.replace(cfg, epochs=k))
+        got = info.value.trace
+        assert k == 1 and got.train_loss == trace.train_loss
+        assert np.array_equal(params_to_vector(info.value.params), params_to_vector(params))
+        for name in ("final_eval_whdr", "final_eval_map"):
+            assert getattr(got, name).hex() == getattr(trace, name).hex()
 
 
 class TestSgdStep:
@@ -396,8 +478,8 @@ class TestTrain:
         ds = tiny_dataset()
         cfg = TrainConfig(loss="listmle", learning_rate=0.1, epochs=1, seed=5, batch=2)
         params, trace = train(ds, cfg)
-        assert len(trace) == 1
-        assert len(trace.eval_whdr) == 1 and len(trace.eval_map) == 1
+        assert len(trace) == 1 and len(trace.epoch_seconds) == 1
+        assert 0.0 <= trace.final_eval_whdr <= 1.0 and 0.0 <= trace.final_eval_map <= 1.0
         assert isinstance(params, LinearScorer)
 
     @pytest.mark.parametrize("loss", ["pairwise", "listmle"])
@@ -420,8 +502,8 @@ class TestTrain:
         params_b, trace_b = train(ds, cfg)
         assert np.array_equal(params_a.w, params_b.w) and params_a.b == params_b.b
         assert trace_a.train_loss == trace_b.train_loss
-        assert trace_a.eval_whdr == trace_b.eval_whdr
-        assert trace_a.eval_map == trace_b.eval_map
+        assert trace_a.final_eval_whdr == trace_b.final_eval_whdr
+        assert trace_a.final_eval_map == trace_b.final_eval_map
 
     def test_different_seed_differs(self):
         ds = tiny_dataset()
@@ -522,8 +604,10 @@ class TestTrain:
         cfg = TrainConfig(loss="weighted-listmle", learning_rate=0.05, epochs=30, seed=3,
                           batch=5)
         _, trace = train(ds, cfg)
+        _, first = train(ds, dataclasses.replace(cfg, epochs=1))
+        assert first.train_loss == trace.train_loss[:1]
         assert trace.train_loss[-1] < trace.train_loss[0]
-        assert trace.eval_whdr[-1] < trace.eval_whdr[0]
+        assert trace.final_eval_whdr < first.final_eval_whdr
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
