@@ -17,7 +17,10 @@ mismatch; gradcheck.  Hand-written files test the readers: a dataset and
 a params file whose floats are valid but not written the way
 ``float.hex`` writes them, a dataset with ``\r\n`` line endings, and
 datasets and a params file that are malformed on a known line (a bad or
-overflowing float token, a non-finite feature, a signed count).
+overflowing float token, a non-finite feature, a signed count).  Two more
+hand-written datasets are valid: one whose ground-truth span overflows
+(``eval`` and a weighted-ListMLE ``train``), and one whose ground truth and
+predictions tie often (``eval``).
 
 Usage:
     python scripts/cli_cases.py OUT [--src SRC]
@@ -36,6 +39,7 @@ from pathlib import Path
 LOSSES = ("pairwise", "listnet", "listmle", "weighted-listmle")
 SCORERS = ("linear", "mlp")
 TRAIN = ("--lr", "0.05", "--epochs", "3", "--batch", "4", "--seed", "7")
+HUGE = float.fromhex("0x1.fffffffffffffp+1023")
 
 
 def ragged_dataset(path: Path) -> None:
@@ -50,6 +54,26 @@ def ragged_dataset(path: Path) -> None:
         lines.append(" ".join([f"r{k}", str(n), str(dim), *map(float.hex, feats + gt)]))
     header = f'depthrank.dataset.v1 dim={dim} samples={len(lines)} meta={{"source":"ragged"}}'
     path.write_text("\n".join([header, *lines]) + "\n", encoding="ascii")
+
+
+def tied_dataset() -> str:
+    """Samples of 2 to 13 items with features in {-1, 0, 1} and integer
+    ground truth, so that ``ties/params.txt`` predicts many ties on both
+    sides; one sample of each repeated length has distinct predictions and
+    ground truth, so a list length holds tied and untied samples."""
+    rng = random.Random(19)
+    combos = [[a, b, c] for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+    lines = []
+    for k, n in enumerate((2, 3, 5, 8, 8, 8, 13, 13)):
+        if k in (3, 6):
+            feats, gt = rng.sample(combos, n), rng.sample(range(-20, 20), n)
+        else:
+            feats = [rng.choice(combos) for _ in range(n)]
+            gt = [rng.randrange(-2, 3) for _ in range(n)]
+        floats = [float(x) for x in sum(feats, []) + gt]
+        lines.append(" ".join([f"t{k}", str(n), "3", *map(float.hex, floats)]))
+    header = f'depthrank.dataset.v1 dim=3 samples={len(lines)} meta={{"source":"ties"}}'
+    return "\n".join([header, *lines]) + "\n"
 
 
 def loose_hex(x: float, k: int) -> str:
@@ -93,6 +117,11 @@ def hand_written_files(root: Path) -> None:
         """The exact dataset with record ``k`` (line ``k + 2``) replaced."""
         return "\n".join([header, *exact_records[:k], text, *exact_records[k + 1:]]) + "\n"
 
+    # finite ground truth whose span overflows: record 0's first and last
+    # scores are the largest float and its negative
+    huge = exact_records[0].split(" ")
+    huge[3 + samples[0][1] * dim], huge[-1] = (-HUGE).hex(), HUGE.hex()
+
     files = {
         "loose/data.txt": "\n".join([header] + [record(*s, loose_hex) for s in samples]) + "\n",
         "loose/params.txt": "depthrank.params.v1 family=linear dim=3\n"
@@ -106,6 +135,10 @@ def hand_written_files(root: Path) -> None:
                                "w 0x1p0 0x1p5000 0x1p0\nb 0x0p0\n",
         "non-finite/data.txt": malformed(1, with_token(1, 6, "inf")),
         "plus-count/data.txt": malformed(2, with_token(2, 1, "+" + str(samples[2][1]))),
+        "huge-span/data.txt": malformed(0, " ".join(huge)),
+        "ties/data.txt": tied_dataset(),
+        "ties/params.txt": "depthrank.params.v1 family=linear dim=3\n"
+                           "w 0x1p0 0x1p-1 0x1p-2\nb 0x0p0\n",
     }
     for name, text in files.items():
         path = root / name
@@ -186,6 +219,12 @@ def cases() -> list[tuple[str, list[str]]]:
                              "--data", "non-finite/data.txt"]),
         ("eval-plus-count", ["eval", "--params", "loose/params.txt",
                              "--data", "plus-count/data.txt"]),
+        ("eval-ties", ["eval", "--params", "ties/params.txt", "--data", "ties/data.txt"]),
+        ("eval-huge-span", ["eval", "--params", "loose/params.txt",
+                            "--data", "huge-span/data.txt"]),
+        ("train-huge-span", ["train", "--data", "huge-span/data.txt",
+                             "--loss", "weighted-listmle", *TRAIN,
+                             "--out-params", "train-huge-span/params.txt"]),
         ("gradcheck", ["gradcheck"]),
         ("gradcheck-mlp", ["gradcheck", "--cases", "mlp", "--seed", "3", "--instances", "4"]),
         ("gradcheck-tight", ["gradcheck", "--tol", "1e-30", "--instances", "2"]),

@@ -328,11 +328,18 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 def normalize_relevance(raw_scores, upper: float = RELEVANCE_MAX) -> np.ndarray:
     """Affine min-max map of raw scores onto [0, upper]; constant input maps
     to all zeros. Order-preserving."""
-    raw = as_score_vector(raw_scores)
-    lo = raw.min()
-    span = raw.max() - lo
-    if span == 0.0:
-        return np.zeros_like(raw)
+    return _relevance_rows(as_score_vector(raw_scores)[None], upper)[0]
+
+
+def _relevance_rows(raw: np.ndarray, upper: float = RELEVANCE_MAX) -> np.ndarray:
+    """:func:`normalize_relevance` of each row of a (g, n) array of finite scores."""
+    lo = raw.min(axis=1, keepdims=True)
+    hi = raw.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        # Finite scores whose span overflows: map their halves, whose span cannot.
+        halve = np.where(np.isinf(hi - lo), 0.5, 1.0)
+    raw, lo, span = raw * halve, lo * halve, hi * halve - lo * halve
+    span[span == 0.0] = 1.0  # constant rows map to zeros
     # Divide before scaling so the top item lands on `upper` exactly.
     return (raw - lo) / span * upper
 

@@ -12,19 +12,20 @@ All metrics depend on predictions only through the induced order (plus
 tie structure), so they are invariant under strictly increasing
 transforms of the scores.
 
-Cost: :func:`evaluate` scores WHDR (at ``pred_tie_threshold == 0``) and
-MAP over all cuts with one sort-based kernel, ``_rank_metrics``.  It takes
-each sample's ground-truth scores and the concatenated predictions, a few
-thousand items per call, ranks both sides itself and returns the
-misordered and total pair counts with the per-sample MAPs, in O(N log N)
-time and O(N) memory for N items in total; no pair array or cut matrix is
-built.  WHDR at ``pred_tie_threshold > 0`` labels every index pair of a
-sample, a block of rows of the pair triangle at a time: O(n^2) time and
-O(n) memory per sample of n items.
+Cost: :func:`evaluate` groups samples by list length and scores each group
+as rows of one (g, n) array, ``max(1, _KERNEL_ITEMS // n)`` rows at most
+per call.  One sort-based kernel, ``_rank_metrics``, returns WHDR's pair
+counts (at ``pred_tie_threshold == 0``) and each row's MAP over all cuts
+in O(n log n) time and O(n) memory per row, with no pair array or cut
+matrix; it works row by row, so a sample's counts and MAP bits depend on
+that sample alone.  NDCG is a row operation over the same groups.  WHDR
+at ``pred_tie_threshold > 0`` labels every index pair of a sample, a
+block of pair-triangle rows at a time: O(n^2) time and O(n) memory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,14 +33,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import Permutation, RankedSample, as_score_vector, check_pairs, label_pairs
-from .data import normalize_relevance
+from .data import _relevance_rows
 from .errors import InvalidInputError
 from .losses import _discounts, _gains
 
 FLAG_DEGENERATE_PRED_TIES = "degenerate-pred-ties"
 FLAG_ALL_ZERO_GAIN = "all-zero-gain"
 
-# Items per rank-kernel call, rounded up to whole samples.
+# Items per rank-kernel call: lists of n items go max(1, _KERNEL_ITEMS // n) at a time.
 _KERNEL_ITEMS = 4096
 # Rows of a sample's pair triangle labelled at once for WHDR at a nonzero
 # prediction tie threshold.
@@ -129,9 +130,9 @@ def average_precision(binary_labels) -> float:
 def _sample_map(gt_perm: Permutation, pred_scores: np.ndarray) -> float:
     """Mean AP over ground-truth cut points 1..n-1 for one sample.
 
-    The negated ranks are distinct scores that sort into ``gt_perm``.
+    The one-row kernel call; the negated ranks are distinct scores that sort into ``gt_perm``.
     """
-    return float(_rank_metrics([-gt_perm.inverse_array], pred_scores)[2][0])
+    return float(_rank_metrics(-gt_perm.inverse_array[None], pred_scores[None])[2][0])
 
 
 def mean_average_precision(samples: Sequence[tuple[Permutation, object]]) -> float:
@@ -144,13 +145,14 @@ def mean_average_precision(samples: Sequence[tuple[Permutation, object]]) -> flo
     """
     if not samples:
         raise InvalidInputError("need at least one sample")
-    per_sample = []
+    gt_scores, preds = [], []
     for gt_perm, pred in samples:
-        z = as_score_vector(pred, n=len(gt_perm))
+        preds.append(as_score_vector(pred, n=len(gt_perm)))
         if len(gt_perm) < 2:
             raise InvalidInputError("MAP needs samples with at least two items")
-        per_sample.append(_sample_map(gt_perm, z))
-    return math.fsum(per_sample) / len(per_sample)
+        gt_scores.append(-gt_perm.inverse_array)
+    maps = _rank_metrics_by_length(gt_scores, preds)[2]
+    return math.fsum(maps.tolist()) / len(maps)
 
 
 def ndcg(gt_scores, pred_scores) -> float:
@@ -163,14 +165,17 @@ def ndcg(gt_scores, pred_scores) -> float:
     """
     s = as_score_vector(gt_scores)
     z = as_score_vector(pred_scores, n=s.size)
-    gains = _gains(s)
-    if gains.max() == 0.0:
-        return 1.0
-    disc = _discounts(s.size)
-    pred_order = np.argsort(-z, kind="stable")
-    dcg = math.fsum((gains[pred_order] * disc).tolist())
-    ideal = math.fsum((np.sort(gains)[::-1] * disc).tolist())
-    return min(dcg / ideal, 1.0)
+    return _ndcg_rows(s[None], z[None])[0]
+
+
+def _ndcg_rows(rel: np.ndarray, z: np.ndarray) -> list[float]:
+    """:func:`ndcg` of each row of (g, n) relevance and prediction arrays."""
+    gains = _gains(rel)
+    disc = _discounts(rel.shape[1])
+    dcg = np.take_along_axis(gains, _descending(z)[0], axis=1) * disc
+    ideal = np.sort(gains, axis=1)[:, ::-1] * disc
+    return [1.0 if top == 0.0 else min(math.fsum(d) / math.fsum(i), 1.0)
+            for d, i, top in zip(dcg.tolist(), ideal.tolist(), gains.max(axis=1).tolist())]
 
 
 def evaluate(
@@ -182,55 +187,61 @@ def evaluate(
 
     WHDR pools all ground-truth pairs (every index pair of every sample,
     labeled from the raw ground-truth scores, equal scores tying); MAP and
-    NDCG average per-sample values in sample order.  NDCG consumes
-    per-sample min-max normalized relevance so raw ground-truth scores of
-    any sign are accepted.
+    NDCG average per-sample values.  NDCG consumes per-sample min-max
+    normalized relevance so raw ground-truth scores of any sign are
+    accepted.
     """
     threshold = check_tie_threshold(pred_tie_threshold)
     if len(samples) == 0 or len(samples) != len(predictions):
         raise InvalidInputError("need equally many samples and prediction vectors")
-    preds = []
-    ndcgs = []
-    flags = set()
     check_evaluable(samples)
-    for sample, pred in zip(samples, predictions):
-        z = as_score_vector(pred, n=sample.n)
-        rel = normalize_relevance(sample.gt_scores)
-        if rel.max() == 0.0:
+    gt_scores = [s.gt_scores for s in samples]
+    preds = [as_score_vector(pred, n=sample.n) for sample, pred in zip(samples, predictions)]
+    wrong, pairs, maps = _rank_metrics_by_length(gt_scores, preds)
+    ndcgs = np.empty(len(preds))
+    flags = set()
+    for rows, gt, z in _by_length(gt_scores, preds):
+        rel = _relevance_rows(gt)
+        if (rel.max(axis=1) == 0.0).any():
             flags.add(FLAG_ALL_ZERO_GAIN)
-        if z.max() == z.min():
+        if (z.max(axis=1) == z.min(axis=1)).any():
             flags.add(FLAG_DEGENERATE_PRED_TIES)
-        ndcgs.append(ndcg(rel, z))
-        preds.append(z)
-    wrong, pairs, maps = _rank_metrics_in_runs([s.gt_scores for s in samples], preds)
+        ndcgs[rows] = _ndcg_rows(rel, z)
     if threshold > 0.0:
         # "Within the threshold" is not transitive, so no sort can count it.
         wrong = sum(_misordered_within(s.gt_scores, z, threshold) for s, z in zip(samples, preds))
     return MetricReport(
         whdr=wrong / pairs,
-        map=math.fsum(maps) / len(maps),
-        ndcg=math.fsum(ndcgs) / len(ndcgs),
+        map=math.fsum(maps.tolist()) / len(maps),
+        ndcg=math.fsum(ndcgs.tolist()) / len(ndcgs),
         n_samples=len(samples),
         n_pairs=pairs,
         flags=tuple(sorted(flags)),
     )
 
 
-def _rank_metrics_in_runs(gt_scores: list[np.ndarray], preds: list[np.ndarray]):
-    """:func:`_rank_metrics` over runs of consecutive samples of about
-    :data:`_KERNEL_ITEMS` items, which bound its scratch memory: the summed
-    misordered and pair counts, and the per-sample MAP list.  A sample's MAP
-    bits depend on the run it is scored in, so every caller goes through here.
-    """
+def _by_length(gt_scores: list[np.ndarray], preds: list[np.ndarray]):
+    """Samples grouped by list length, at most ``max(1, _KERNEL_ITEMS // n)``
+    lists of n items per group: ``(sample indices, (g, n) ground truth,
+    (g, n) predictions)`` per group."""
     sizes = np.array([g.size for g in gt_scores])
-    cuts = (np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _KERNEL_ITEMS)) + 1).tolist()
+    by_size = np.argsort(sizes, kind="stable")
+    for same in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        step = max(1, _KERNEL_ITEMS // sizes[same[0]])
+        for lo in range(0, same.size, step):
+            rows = same[lo:lo + step]
+            yield rows, np.stack([gt_scores[r] for r in rows]), np.stack([preds[r] for r in rows])
+
+
+def _rank_metrics_by_length(gt_scores: list[np.ndarray], preds: list[np.ndarray]):
+    """:func:`_rank_metrics` over the groups of :func:`_by_length`: the summed
+    misordered and pair counts, and the per-sample MAPs in sample order."""
     wrong = pairs = 0
-    maps = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(gt_scores)]):
-        w, p, m = _rank_metrics(gt_scores[lo:hi], np.concatenate(preds[lo:hi]))
+    maps = np.empty(len(preds))
+    for rows, gt, z in _by_length(gt_scores, preds):
+        w, p, maps[rows] = _rank_metrics(gt, z)
         wrong += w
         pairs += p
-        maps.extend(m.tolist())
     return wrong, pairs, maps
 
 
@@ -248,121 +259,144 @@ def _misordered_within(gt: np.ndarray, z: np.ndarray, threshold: float) -> int:
     return wrong
 
 
-def _run_starts(local: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Where runs of equal keys start in a sequence grouped by sample."""
-    first = local == 0
-    for key in keys:
-        first[1:] |= key[1:] != key[:-1]
-    return first
+@functools.lru_cache(maxsize=256)
+def _tails(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``T(m) = sum_{k=m}^{n-1} 1/k`` for ranks m = 1..n, zero-padded
+    to the next power of two, and the perfect-ranking terms ``m T(m)``."""
+    recip = np.zeros(n)
+    recip[:-1] = 1.0 / np.arange(1, n)
+    tail = np.zeros(1 << (n - 1).bit_length())
+    tail[:n] = np.cumsum(recip[::-1])[::-1]
+    perfect = tail[:n] * np.arange(1, n + 1)
+    tail.flags.writeable = perfect.flags.writeable = False
+    return tail, perfect
 
 
-def _tied_pairs(first: np.ndarray) -> int:
-    """Pairs inside the runs of a sequence; ``first`` marks where runs start."""
+def _earlier(values: np.ndarray, weights: np.ndarray | None = None):
+    """Dominance counts over rows that each hold a permutation of 0..n-1.
+
+    Returns, per position, the number of earlier positions of its row with
+    a smaller value and, given ``weights`` by value (zero-padded to a power
+    of two, as rows are padded with larger values), the summed weights of
+    the earlier positions with a larger value.  Each value bit, from the
+    top down, is one stable partition within blocks of a row: elements that
+    agree above bit ``b`` fill one block, and within it an element with
+    bit ``b`` set exceeds every element without it.
+    """
+    m, n = values.shape
+    bits = (n - 1).bit_length()
+    size = 1 << bits
+    key = np.empty((m, size), dtype=np.int64)
+    key[:, :n] = values
+    key[:, n:] = np.arange(n, size)
+    # key, smaller[, larger]: carried along as elements move
+    carried = [key, np.zeros((m, size), dtype=np.int64)]
+    if weights is not None:
+        carried.append(np.zeros((m, size)))
+    col = np.arange(size)
+    row = np.arange(0, m * size, size)[:, None]
+    for b in range(bits - 1, -1, -1):
+        half = 1 << b
+        blocks = (m, size // (2 * half), 2 * half)
+        key = carried[0]
+        one = (key & half) != 0
+        # Inclusive counts in the block: at an element with bit b set,
+        # `zeros` counts the earlier ones without it.
+        ones = np.cumsum(one.reshape(blocks), axis=2).reshape(m, size)
+        start = col & -(2 * half)
+        zeros = col - start + 1 - ones
+        carried[1] += one * zeros
+        if weights is not None:
+            above = np.where(one, weights[key], 0.0)
+            below = np.cumsum(above.reshape(blocks), axis=2).reshape(m, size)
+            carried[2] += np.where(one, 0.0, below)
+        dest = row + start + np.where(one, half + ones, zeros) - 1
+        for arr in carried:
+            flat = arr.reshape(-1)
+            flat[dest.ravel()] = flat.copy()
+    # Every row now holds its elements in value order.
+    return [np.take_along_axis(arr, values, axis=1) for arr in carried[1:]]
+
+
+def _descending(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's descending order, ties broken by ascending index, and where
+    neighbours in that order tie."""
+    # An unstable sort is cheaper and differs from a stable one only on ties.
+    order = np.argsort(-x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    tie = xs[:, 1:] == xs[:, :-1]
+    tied = tie.any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(-x[tied], axis=1, kind="stable")
+    return order, tie
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """Each row's position in ``order``: the inverse permutations."""
+    out = np.empty_like(order)
+    np.put_along_axis(out, order, np.arange(order.shape[1]), axis=1)
+    return out
+
+
+def _classes(order: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Per-item tie class, numbered from 0 along ``order``; ``tie`` marks
+    sorted neighbours with equal scores."""
+    ranked = np.zeros(order.shape, dtype=np.int64)
+    np.cumsum(~tie, axis=1, out=ranked[:, 1:])
+    out = np.empty_like(ranked)
+    np.put_along_axis(out, order, ranked, axis=1)
+    return out
+
+
+def _tied_pairs(tie: np.ndarray) -> int:
+    """Pairs inside the runs of rows whose sorted neighbours ``tie`` marks."""
+    first = np.ones((tie.shape[0], tie.shape[1] + 1), dtype=bool)
+    first[:, 1:] = ~tie
     runs = np.diff(np.append(np.flatnonzero(first), first.size))
     return int((runs * (runs - 1) // 2).sum())
 
 
-def _earlier(key: np.ndarray, bits: int, weights: np.ndarray):
-    """Dominance sums over a sequence of keys ``(sample << bits) | value``.
+def _rank_metrics(gt: np.ndarray, z: np.ndarray):
+    """(misordered pairs at tie threshold 0, index pairs, per-row MAP over
+    all cuts) for (g, n) rows of ground-truth and predicted scores.
 
-    Returns, per element, the number of earlier elements of its sample
-    with a strictly smaller value, and the summed ``weights`` of the
-    earlier ones with a strictly larger value.  Each value bit, from the
-    top down, is one stable partition: elements that agree above bit ``b``
-    form a group, and within it an element with bit ``b`` set exceeds
-    every element without it.
-    """
-    n = key.size
-    pos = np.arange(n, dtype=np.int64)
-    # key, item, smaller, larger, weight: carried along as elements move
-    carried = [key.copy(), pos.copy(), np.zeros(n, dtype=np.int64), np.zeros(n),
-               np.array(weights, dtype=np.float64)]
-    first = np.ones(n, dtype=bool)
-    for b in range(bits - 1, -1, -1):
-        k, _, smaller, larger, w = carried
-        hi = k >> (b + 1)
-        np.not_equal(hi[1:], hi[:-1], out=first[1:])
-        heads = np.flatnonzero(first)
-        group = np.cumsum(first) - 1
-        head = heads[group]
-        one = (k >> b) & 1
-        ones_incl = np.cumsum(one)
-        ones_before = ones_incl - one
-        ones_before -= ones_before[head]
-        zeros_before = pos - head - ones_before
-        smaller += zeros_before * one
-        prefix = np.zeros(n)
-        above = np.where(one == 1, w, 0.0)
-        np.cumsum(above[:-1], out=prefix[1:])
-        larger += np.where(one == 1, 0.0, prefix - prefix[head])
-        tails = np.append(heads[1:], n) - 1
-        zeros_in = tails + 1 - heads - (ones_incl[tails] - ones_incl[heads] + one[heads])
-        dest = head + np.where(one == 1, zeros_in[group] + ones_before, zeros_before)
-        for arr in carried:
-            arr[dest] = arr.copy()
-    item, smaller, larger = carried[1:4]
-    out_smaller = np.empty(n, dtype=np.int64)
-    out_larger = np.empty(n)
-    out_smaller[item] = smaller
-    out_larger[item] = larger
-    return out_smaller, out_larger
-
-
-def _rank_metrics(gt_scores: Sequence[np.ndarray], z: np.ndarray):
-    """(misordered pairs at tie threshold 0, index pairs, per-sample MAP
-    over all cuts) for a batch of samples.
-
-    ``gt_scores`` holds each sample's ground-truth scores and ``z`` the
-    predicted scores of all their items, concatenated in sample order.
     Ground-truth ranks break ties by ascending index, as ``gt_perm`` does.
-
     With p the 1-based predicted position (descending, ascending-index
     tie-break) and g_p the ground-truth rank of the item there, the APs
     summed over all cuts are ``sum_p (1/p) [(A_p + 1) T(g_p) + S_p]``,
     where ``T(m) = sum_{k=m}^{n-1} 1/k``: ``A_p`` counts earlier positions
     with a smaller rank and ``S_p`` sums ``T(g_q)`` over earlier positions
-    with a larger one.
+    with a larger one.  On a row with no tie on either side, the pairs
+    ``A_p`` counts are the concordant ones; a row that holds a tie has its
+    discordant pairs counted by a second pass over (gt, pred) tie classes.
     """
-    sizes = np.array([s.size for s in gt_scores], dtype=np.int64)
-    scores = np.concatenate(gt_scores)
-    seg = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    starts = np.cumsum(sizes) - sizes
-    local = np.arange(seg.size, dtype=np.int64) - starts[seg]
-    bits = int(sizes.max() - 1).bit_length()
-    # Ground-truth ranks and tie classes, numbered batch-wide.
-    gt_order = np.lexsort((-scores, seg))
-    gt_first = _run_starts(local, scores[gt_order])
-    rank = np.empty(scores.size, dtype=np.int64)
-    rank[gt_order] = local + 1
-    gt_class = np.empty(scores.size, dtype=np.int64)
-    gt_class[gt_order] = np.cumsum(gt_first) - 1
-    # T(local + 1): a suffix sum of 1/k within each sample, with T(n) = 0,
-    # taken as the batch's suffix sum minus the next sample's.
-    recip = np.where(local + 1 < sizes[seg], 1.0 / (local + 1), 0.0)
-    suffix = np.cumsum(recip[::-1])[::-1]
-    tail = suffix - np.append(suffix[starts[1:]], 0.0)[seg]
-    rank_tail = tail[starts[seg] + rank - 1]
-    order = np.lexsort((-z, seg))
-    t = rank_tail[order]
-    a, s = _earlier((seg << bits) | (rank[order] - 1), bits, t)
+    m, n = gt.shape
+    gt_order, gt_tie = _descending(gt)
+    order, pred_tie = _descending(z)
+    seq = np.take_along_axis(_inverse(gt_order), order, axis=1)
+    tail, perfect = _tails(n)
+    a, s = _earlier(seq, tail)
     # A perfect ranking scores p T(p) at every position, and those sum to
     # n - 1; summing the shortfall per position makes it score 1 exactly.
-    perfect = tail * (local + 1)
-    shortfall = np.bincount(seg, weights=((a + 1) * t + s - perfect) / (local + 1),
-                            minlength=sizes.size)
-    maps = np.clip(1.0 + shortfall / (sizes - 1), 0.0, 1.0)
-    # Pred tie classes, numbered batch-wide in descending score order.
-    first = _run_starts(local, z[order])
-    seq_class = np.cumsum(first) - 1
-    pred_ties = _tied_pairs(first)
-    pred_class = np.empty_like(seq_class)
-    pred_class[order] = seq_class
-    # Sorted by (gt class, pred class), a discordant pair is exactly an
-    # earlier item with a strictly larger pred class.
-    joint = np.lexsort((pred_class, gt_class))
-    c = pred_class[joint]
-    joint_ties = _tied_pairs(_run_starts(local, c, gt_class[joint]))
-    value = c - seq_class[local == 0][seg]
-    discordant = int(_earlier((seg << bits) | value, bits, np.ones(c.size))[1].sum())
-    wrong = discordant + _tied_pairs(gt_first) + pred_ties - 2 * joint_ties
-    return wrong, int((sizes * (sizes - 1) // 2).sum()), maps
+    terms = ((a + 1) * tail[seq] + s - perfect) / np.arange(1, n + 1)
+    shortfall = np.bincount(np.repeat(np.arange(m), n), weights=terms.ravel(), minlength=m)
+    maps = np.clip(1.0 + shortfall / (n - 1), 0.0, 1.0)
+    pairs = n * (n - 1) // 2
+    tied = (gt_tie | pred_tie).any(axis=1)
+    # With no tie on either side, a pair is misordered unless A_p counts it.
+    wrong = int((~tied).sum()) * pairs - int(a[~tied].sum())
+    if tied.any():
+        gt_tie, pred_tie = gt_tie[tied], pred_tie[tied]
+        pred_class = _classes(order[tied], pred_tie)
+        joint = _classes(gt_order[tied], gt_tie) * n + pred_class
+        # Sorted by (gt class, pred class), a discordant pair is exactly an
+        # earlier item with a strictly larger pred class: an earlier item with
+        # a larger value once pred-class ties rank in sequence order.
+        by_joint = np.argsort(joint, axis=1, kind="stable")
+        later = np.take_along_axis(pred_class, by_joint, axis=1)
+        value = _inverse(np.argsort(later, axis=1, kind="stable"))
+        discordant = int(tied.sum()) * pairs - int(_earlier(value)[0].sum())
+        joint = np.take_along_axis(joint, by_joint, axis=1)
+        wrong += (discordant + _tied_pairs(gt_tie) + _tied_pairs(pred_tie)
+                  - 2 * _tied_pairs(joint[:, 1:] == joint[:, :-1]))
+    return wrong, m * pairs, maps

@@ -18,9 +18,9 @@ subsampling, and MLP initialization all flow from one
 :class:`~depthrank.rng.SplitMix64` stream.  A non-finite batch loss,
 gradient or parameter vector raises :class:`TrainingDivergedError`.
 The trace keeps each epoch's mean loss and seconds.  Its metrics (WHDR
-and MAP on the first :data:`EVAL_SAMPLES` training samples, from the rank
-kernel of :mod:`depthrank.metrics`) are computed once per run, on the
-params of the last completed epoch.
+and MAP on the first :data:`EVAL_SAMPLES` training samples, by the
+row-local rank kernel that ``evaluate`` uses, with its bits) are computed
+once per run, on the params of the last completed epoch.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .data import Dataset, normalize_relevance, sample_pair_arrays, sample_point
 from .errors import InvalidInputError, TrainingDivergedError
 from .losses import (IDENTITY_WEIGHTS, WeightConfig, _listnet, _pairwise_batch, _weighted_nll,
                      position_weights)
-from .metrics import _rank_metrics_in_runs, check_evaluable
+from .metrics import _rank_metrics_by_length, check_evaluable
 from .rng import SplitMix64
 from .scorer import (SCORER_FAMILIES, SCORER_LINEAR, SCORER_MLP, ScorerParams,
                      _param_grad_from_scores, init_params, params_to_vector, random_params,
@@ -276,9 +276,9 @@ def _make_eval_context(samples: Sequence[RankedSample]) -> _EvalContext:
 
 
 def _trace_eval(params: ScorerParams, ctx: _EvalContext) -> tuple[float, float]:
-    wrong, pairs, maps = _rank_metrics_in_runs([s.gt_scores for s in ctx.samples],
-                                               [score(params, s.items) for s in ctx.samples])
-    return wrong / pairs, math.fsum(maps) / len(maps)
+    wrong, pairs, maps = _rank_metrics_by_length([s.gt_scores for s in ctx.samples],
+                                                 [score(params, s.items) for s in ctx.samples])
+    return wrong / pairs, math.fsum(maps.tolist()) / len(maps)
 
 
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]:

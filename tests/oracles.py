@@ -107,6 +107,20 @@ def dense_sample_map(gt_rank, pred_scores) -> float:
     return math.fsum(ap.tolist()) / (n - 1)
 
 
+def sample_ndcg(relevance, pred_scores) -> float:
+    """NDCG of one sample, one ``math.fsum`` per DCG: the package's former
+    per-sample code, with gain ``exp2(s) - 1`` and discount
+    ``log(2) / log(pos + 1)`` as numpy computes them."""
+    gains = np.exp2(np.asarray(relevance, dtype=np.float64)) - 1.0
+    if gains.max() == 0.0:
+        return 1.0
+    disc = math.log(2.0) / np.log(np.arange(2, gains.size + 2, dtype=np.float64))
+    order = np.argsort(-np.asarray(pred_scores, dtype=np.float64), kind="stable")
+    dcg = math.fsum((gains[order] * disc).tolist())
+    ideal = math.fsum((np.sort(gains)[::-1] * disc).tolist())
+    return min(dcg / ideal, 1.0)
+
+
 def dense_whdr_counts(gt_scores, pred_scores, pred_tie_threshold=0.0):
     """(#misordered pairs, #pairs) over every index pair of one sample.
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from depthrank.cli import EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
-from depthrank.data import SyntheticSpec, read_dataset
+from depthrank.core import RankedSample
+from depthrank.data import Dataset, SyntheticSpec, read_dataset, write_dataset
 from depthrank.losses import WeightConfig
 from depthrank.trainer import TrainConfig
 from depthrank.scorer import LinearScorer, read_params, write_params
@@ -341,6 +342,20 @@ class TestEvalCommand:
         assert code == EXIT_FAILURE
         assert capsys.readouterr().err == (
             "error: line 2: bad float token: hexadecimal value too large to represent as a float\n")
+
+    def test_ground_truth_whose_span_overflows_is_scored(self, tmp_path, capsys):
+        huge = float.fromhex("0x1.fffffffffffffp+1023")
+        items = np.arange(8.0).reshape(4, 2)
+        data = tmp_path / "d.txt"
+        write_dataset(Dataset((RankedSample("a", items, [-huge, 0.0, 1.0, huge]),
+                               RankedSample("b", items, [1.0, 2.0, 3.0, 4.0]))), data)
+        params_path = tmp_path / "p.txt"
+        write_params(LinearScorer(w=np.array([1.0, 0.0]), b=0.0), params_path)
+        code = run("eval", "--params", str(params_path), "--data", str(data))
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        # both samples are ranked perfectly, so NDCG is 1 and not NaN
+        assert "metrics.eval.whdr=0.0" in out and "metrics.eval.ndcg=1.0" in out
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_non_ascii_dataset_is_failure_at_its_line(self, tmp_path, capsys, command):

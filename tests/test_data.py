@@ -8,6 +8,7 @@ from depthrank.data import (
     Dataset,
     SyntheticSpec,
     _parse_count,
+    _relevance_rows,
     generate_synthetic,
     hidden_raw_scores,
     normalize_relevance,
@@ -19,6 +20,9 @@ from depthrank.data import (
 from depthrank.errors import DatasetFormatError, DatasetVersionError, InvalidInputError
 from depthrank.metrics import whdr
 from depthrank.rng import SplitMix64
+
+HUGE = float.fromhex("0x1.fffffffffffffp+1023")
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def small_spec(**overrides):
@@ -118,6 +122,34 @@ class TestNormalizeRelevance:
             permutation_from_scores(raw).order
             == permutation_from_scores(normalize_relevance(raw)).order
         )
+
+    def test_overflowing_span_maps_halves(self):
+        assert normalize_relevance([-HUGE, HUGE]).tolist() == [0.0, 4.0]
+        assert normalize_relevance([HUGE, 0.0, -HUGE, -0.0]).tolist() == [4.0, 2.0, 0.0, 2.0]
+        assert normalize_relevance([-HUGE, HUGE / 2, HUGE]).tolist() == [0.0, 3.0, 4.0]
+
+    @given(st.lists(st.one_of(ANY_FINITE, st.sampled_from([-HUGE, HUGE])), min_size=2,
+                    max_size=20))
+    def test_any_finite_scores_map_onto_the_range_in_order(self, values):
+        raw = np.array(values)
+        rel = normalize_relevance(raw)
+        assert np.isfinite(rel).all() and rel.min() == 0.0
+        assert rel.max() == (0.0 if raw.min() == raw.max() else 4.0)
+        order = np.argsort(raw, kind="stable")
+        assert (np.diff(rel[order]) >= 0.0).all()
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20))
+    def test_spans_that_do_not_overflow_keep_their_bits(self, values):
+        raw = np.array(values)
+        span = raw.max() - raw.min()
+        want = np.zeros(raw.size) if span == 0.0 else (raw - raw.min()) / span * 4.0
+        assert normalize_relevance(raw).tobytes() == want.tobytes()
+
+    def test_rows_are_normalized_on_their_own(self):
+        raw = np.array([[-HUGE, 1.0, HUGE], [1.0, 2.0, 5.0], [3.0, 3.0, 3.0]])
+        got = _relevance_rows(raw)
+        for row, want in zip(got, raw):
+            assert row.tobytes() == normalize_relevance(want).tobytes()
 
 
 def make_sample(n=6, dim=3, seed=5):

@@ -7,18 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from depthrank import metrics
 from depthrank.core import (
     Permutation,
     RankedSample,
     pairs_from_permutation,
     permutation_from_scores,
 )
+from depthrank.data import normalize_relevance
 from depthrank.errors import InvalidInputError
 from depthrank.metrics import (
     _PAIR_ROWS,
     FLAG_ALL_ZERO_GAIN,
     FLAG_DEGENERATE_PRED_TIES,
     _rank_metrics,
+    _rank_metrics_by_length,
     _sample_map,
     average_precision,
     evaluate,
@@ -322,8 +325,17 @@ def ragged_batches(draw, max_n=12):
 
 
 def kernel(batch):
-    """(misordered pairs, pairs, per-sample MAPs) from the vectorised kernel."""
-    return _rank_metrics([g for g, _ in batch], np.concatenate([p for _, p in batch]))
+    """(misordered pairs, pairs, per-sample MAPs) from the row kernel, one
+    call per list length."""
+    wrong = pairs = 0
+    maps = np.empty(len(batch))
+    for n in {g.size for g, _ in batch}:
+        rows = [k for k, (g, _) in enumerate(batch) if g.size == n]
+        w, p, maps[rows] = _rank_metrics(*(np.stack([batch[k][side] for k in rows])
+                                           for side in (0, 1)))
+        wrong += w
+        pairs += p
+    return wrong, pairs, maps
 
 
 def gt_rank(gt):
@@ -442,6 +454,68 @@ class TestRankKernel:
         assert report.n_pairs == n * (n - 1) // 2
         assert 0.0 < report.whdr < 0.5
         assert peak < 50 * 2**20
+
+
+@st.composite
+def shared_length_batches(draw):
+    """2-8 samples of at most three lengths, so lengths repeat; each list
+    ties on neither side, or on one or both."""
+    lengths = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+    batch = []
+    for _ in range(draw(st.integers(2, 8))):
+        n = draw(st.sampled_from(lengths))
+        sides = []
+        for _ in range(2):
+            if draw(st.booleans()):
+                sides.append(np.array(draw(st.permutations(range(n))), dtype=np.float64) / 3)
+            else:
+                sides.append(np.array(draw(st.lists(SCORES, min_size=n, max_size=n))))
+        batch.append(tuple(sides))
+    return batch
+
+
+class TestSampleLocality:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_length_batches(), st.randoms(use_true_random=False), st.integers(1, 40))
+    def test_a_sample_scores_the_same_alone_and_in_any_batch(self, batch, rnd, cap):
+        alone = [_rank_metrics(g[None], p[None]) for g, p in batch]
+        order = list(range(len(batch)))
+        rnd.shuffle(order)
+        subset = order[:rnd.randint(1, len(order))]
+        with pytest.MonkeyPatch.context() as mp:
+            # rows per kernel call: max(1, cap // n)
+            mp.setattr(metrics, "_KERNEL_ITEMS", cap)
+            wrong, pairs, maps = _rank_metrics_by_length([batch[k][0] for k in subset],
+                                                         [batch[k][1] for k in subset])
+        assert wrong == sum(alone[k][0] for k in subset)
+        assert pairs == sum(alone[k][1] for k in subset)
+        assert maps.tobytes() == np.array([alone[k][2][0] for k in subset]).tobytes()
+        n = batch[subset[0]][0].size
+        rows = [k for k in subset if batch[k][0].size == n]
+        one_call = _rank_metrics(*(np.stack([batch[k][side] for k in rows]) for side in (0, 1)))
+        assert one_call[0] == sum(alone[k][0] for k in rows)
+        assert one_call[2].tobytes() == np.array([alone[k][2][0] for k in rows]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_length_batches())
+    def test_mean_average_precision_is_the_mean_of_one_row_calls(self, batch):
+        samples = [(permutation_from_scores(g), p) for g, p in batch]
+        per_sample = [_sample_map(perm, p) for perm, p in samples]
+        assert mean_average_precision(samples) == math.fsum(per_sample) / len(per_sample)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_batches())
+    def test_evaluate_ndcg_and_flags_are_those_of_each_sample(self, batch):
+        samples = [sample_from_scores(g) for g, _ in batch]
+        preds = [p for _, p in batch]
+        report = evaluate(samples, preds)
+        rels = [normalize_relevance(s.gt_scores) for s in samples]
+        per_sample = [oracles.sample_ndcg(rel, p) for rel, p in zip(rels, preds)]
+        assert [ndcg(rel, p) for rel, p in zip(rels, preds)] == per_sample
+        assert report.ndcg == math.fsum(per_sample) / len(per_sample)
+        flags = {FLAG_ALL_ZERO_GAIN for g, _ in batch if g.min() == g.max()}
+        flags |= {FLAG_DEGENERATE_PRED_TIES for _, p in batch if p.min() == p.max()}
+        assert report.flags == tuple(sorted(flags))
 
 
 @st.composite

@@ -336,7 +336,7 @@ def diverging_setup():
 
 class TestTraceEval:
     def test_matches_evaluate_bit_for_bit(self):
-        # more items than one rank-kernel call takes: MAP bits depend on the runs
+        # more items than one rank-kernel call takes, so both make several calls
         ds = tiny_dataset(n_samples=12, items_per_sample=500, noise_sigma=0.5)
         assert sum(s.n for s in ds.samples) > _KERNEL_ITEMS
         params = LinearScorer(w=SplitMix64(16).normals(3), b=0.0)
