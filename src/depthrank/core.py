@@ -53,7 +53,12 @@ def label_pairs(scores: np.ndarray, i, j, tie_threshold: float = 0.0) -> np.ndar
 
 def all_pairs(gt_scores: np.ndarray):
     """(i, j, r) for every index pair i < j of a sample in row-major order,
-    labelled from its ground-truth scores (equal scores tie)."""
+    labelled from its ground-truth scores (equal scores tie).
+
+    O(n^2) in memory: n(n-1)/2 pairs at 24 bytes each.  With the labels
+    :func:`~depthrank.metrics.whdr` adds, one list of n = 2000 peaks at
+    93 MiB under tracemalloc; :func:`~depthrank.metrics.evaluate` scores
+    the same WHDR in O(n) memory."""
     i, j = np.triu_indices(gt_scores.size, k=1)
     return i.astype(np.intp), j.astype(np.intp), label_pairs(gt_scores, i, j)
 
@@ -168,7 +173,9 @@ def permutation_from_scores(scores) -> Permutation:
 
 def pairs_from_permutation(perm: Permutation, gt_scores):
     """``all_pairs(gt_scores)``: (i, j, r) arrays of every index pair of the
-    sample.  ``perm`` only fixes the length."""
+    sample.  ``perm`` only fixes the length.  O(n^2) in memory, as
+    :func:`all_pairs` is; :func:`~depthrank.metrics.evaluate` scores WHDR
+    in O(n)."""
     scores = as_score_vector(gt_scores, n=len(perm))
     if scores.size < 2:
         raise InvalidInputError("need at least two items to form pairs")

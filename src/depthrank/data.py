@@ -325,13 +325,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(samples=tuple(samples), meta=meta)
 
 
-def normalize_relevance(raw_scores, upper: float = RELEVANCE_MAX) -> np.ndarray:
-    """Affine min-max map of raw scores onto [0, upper]; constant input maps
-    to all zeros. Order-preserving."""
-    return _relevance_rows(as_score_vector(raw_scores)[None], upper)[0]
+def normalize_relevance(raw_scores) -> np.ndarray:
+    """Affine min-max map of raw scores onto [0, RELEVANCE_MAX]; constant
+    input maps to all zeros. Order-preserving."""
+    return _relevance_rows(as_score_vector(raw_scores)[None])[0]
 
 
-def _relevance_rows(raw: np.ndarray, upper: float = RELEVANCE_MAX) -> np.ndarray:
+def _relevance_rows(raw: np.ndarray) -> np.ndarray:
     """:func:`normalize_relevance` of each row of a (g, n) array of finite scores."""
     lo = raw.min(axis=1, keepdims=True)
     hi = raw.max(axis=1, keepdims=True)
@@ -340,8 +340,8 @@ def _relevance_rows(raw: np.ndarray, upper: float = RELEVANCE_MAX) -> np.ndarray
         halve = np.where(np.isinf(hi - lo), 0.5, 1.0)
     raw, lo, span = raw * halve, lo * halve, hi * halve - lo * halve
     span[span == 0.0] = 1.0  # constant rows map to zeros
-    # Divide before scaling so the top item lands on `upper` exactly.
-    return (raw - lo) / span * upper
+    # Divide before scaling so the top item lands on RELEVANCE_MAX exactly.
+    return (raw - lo) / span * RELEVANCE_MAX
 
 
 def sample_points(sample: RankedSample, k: int, rng: SplitMix64) -> np.ndarray:

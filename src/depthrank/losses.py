@@ -20,11 +20,13 @@ each row's pairs, ``(b, k)`` index and label rows), ``_listnet(y, z)``, and
 ``_weighted_nll(order, weights, z)`` for both ListMLE losses.  Each row's
 result is bit-identical to a one-row call on that row alone.  The public
 functions validate one list, then make that one-row call; the trainer
-calls the kernels on a whole mini-batch.  The ListMLE
-kernel streams a suffix log-sum-exp, so it stays finite for score
-magnitudes up to ~700 and identity weights reduce it to plain ListMLE
-bit-for-bit.  Gradients are analytic; the test suite checks every one
-against central finite differences.
+calls the kernels on a whole mini-batch.  The ListMLE kernel streams a
+suffix log-sum-exp, so it stays finite for score magnitudes up to ~700,
+and identity weights reduce it to plain ListMLE bit-for-bit.
+``plackett_luce_log_prob`` is the negated one-row ListMLE value, so the
+Plackett-Luce log likelihood has no pass of its own.  Gradients are
+analytic; the test suite checks every one against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -227,15 +229,12 @@ def listnet_loss(gt_scores, pred_scores) -> LossResult:
 
 
 def plackett_luce_log_prob(perm: Permutation, scores) -> float:
-    """Log probability of ``perm`` under the Plackett-Luce model of ``scores``.
+    """Log probability of ``perm`` under the Plackett-Luce model of ``scores``:
+    ``sum_i (z_{y(i)} - logsumexp of the suffix from i)``, always <= 0.
 
-    Computed as ``sum_i (z_{y(i)} - logsumexp of the suffix from i)`` in a
-    single reverse streaming pass; always <= 0.
+    The negated :func:`listmle_loss`, the one kernel that computes it.
     """
-    z = as_score_vector(scores, n=len(perm))
-    v = z[perm.order_array]
-    lse = suffix_logsumexp(v)
-    return -math.fsum((lse - v).tolist())
+    return -listmle_loss(perm, scores).value
 
 
 def _weighted_nll(order: np.ndarray, weights: np.ndarray, z: np.ndarray):

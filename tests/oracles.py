@@ -167,6 +167,14 @@ def plackett_luce_prob(perm_order, scores) -> float:
     return prob
 
 
+def plackett_luce_streamed(perm_order, scores) -> float:
+    """Plackett-Luce log probability by its own suffix log-sum-exp pass, the
+    package's former separate computation."""
+    v = np.asarray(scores, dtype=np.float64)[np.asarray(perm_order)]
+    lse = np.logaddexp.accumulate(v[::-1])[::-1]
+    return -math.fsum((lse - v).tolist())
+
+
 def all_permutation_probs(scores) -> float:
     """Sum of naive Plackett-Luce probabilities over all permutations."""
     n = len(scores)

@@ -326,6 +326,28 @@ class TestPlackettLuce:
         perm = permutation_from_scores(scores)
         assert plackett_luce_log_prob(perm, scores) <= 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.one_of(
+            st.lists(st.floats(-700, 700), min_size=1, max_size=30),
+            # few distinct values: ties in the scores and in the permutation's ground truth
+            st.lists(st.sampled_from([-700.0, -1.5, 0.0, 2.0, 700.0]), min_size=1, max_size=30),
+        ),
+        data=st.data(),
+    )
+    def test_same_bits_as_negated_listmle(self, scores, data):
+        gt = data.draw(st.lists(st.integers(-2, 2), min_size=len(scores), max_size=len(scores)))
+        perm = permutation_from_scores(gt)
+        got = plackett_luce_log_prob(perm, scores)
+        want = -listmle_loss(perm, scores).value
+        streamed = oracles.plackett_luce_streamed(perm.order, scores)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.float64(got).tobytes() == np.float64(streamed).tobytes()
+
+    def test_same_bits_on_one_item(self):
+        got = plackett_luce_log_prob(Permutation((0,)), [700.0])
+        assert np.float64(got).tobytes() == np.float64(-0.0).tobytes()
+
 
 class TestSuffixLogSumExp:
     def test_singleton(self):

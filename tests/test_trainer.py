@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthrank.core import RankedSample, permutation_from_scores
-from depthrank.data import Dataset, SyntheticSpec, generate_synthetic
+from depthrank.data import Dataset, SyntheticSpec, generate_synthetic, sample_points
 from depthrank.errors import InvalidInputError, TrainingDivergedError
 from depthrank.losses import listnet_loss, pairwise_loss
 from depthrank.metrics import _KERNEL_ITEMS, evaluate
@@ -173,9 +173,9 @@ class TestBackprop:
         params = LinearScorer(w=np.array([0.7, -0.3]), b=0.1)
         value, _ = backprop(params, sample, cfg)
         z = score(params, sample.items)
-        target = draw_target(sample, cfg)
+        _, *pairs = draw_target(sample, cfg)
         per_pair = [
-            pairwise_loss(z[i], z[j], int(r)).value for i, j, r in zip(*target.args)
+            pairwise_loss(z[i], z[j], int(r)).value for i, j, r in zip(*pairs)
         ]
         assert value == pytest.approx(sum(per_pair) / len(per_pair), rel=1e-12)
 
@@ -187,7 +187,7 @@ RAGGED_SIZES = (2, 3, 4, 5, 7)
 
 def ragged_batch(seed, size, loss, family, points=4, pairs=5):
     """A config, scorer params, ``size`` samples of mixed length with tied
-    ground truth, and one drawn target per sample, in batch order."""
+    ground truth, and one drawn list per sample, in batch order."""
     rng = SplitMix64(seed)
     cfg = TrainConfig(loss=loss, learning_rate=0.1, epochs=1, seed=0, scorer=family,
                       hidden_size=3, points_per_sample=points, pairs_per_sample=pairs)
@@ -203,9 +203,9 @@ def ragged_batch(seed, size, loss, family, points=4, pairs=5):
     return cfg, params, samples, targets
 
 
-def backprop_lists(params, samples, cfg, targets):
-    """The batched step over a pool of exactly these lists, as train takes drawn targets."""
-    return backprop_batch(params, cfg, _ListPool(samples, targets), np.arange(len(samples)))
+def backprop_lists(params, cfg, lists):
+    """The batched step over a pool of exactly these lists, as train takes drawn lists."""
+    return backprop_batch(params, cfg, _ListPool(lists), np.arange(len(lists)))
 
 
 class TestBackpropBatch:
@@ -215,7 +215,7 @@ class TestBackpropBatch:
     @given(seed=st.integers(0, 2**32), size=st.integers(1, 9))
     def test_equals_in_order_sum_of_one_sample_calls(self, loss, family, seed, size):
         cfg, params, samples, targets = ragged_batch(seed, size, loss, family)
-        total, grad = backprop_lists(params, samples, cfg, targets)
+        total, grad = backprop_lists(params, cfg, targets)
         seq_total, seq_grad = 0.0, np.zeros_like(params_to_vector(params))
         for sample, target in zip(samples, targets):
             value, g = backprop(params, sample, cfg, target)
@@ -232,10 +232,10 @@ class TestBackpropBatch:
         cfg, params, samples, targets = ragged_batch(84, 6, loss, family)
         assert {s.n for s in samples} == {2, 3, 4, 5}
         b = len(samples)
-        _, grad = backprop_lists(params, samples, cfg, targets)
+        _, grad = backprop_lists(params, cfg, targets)
 
         def mean_loss(v):
-            return backprop_lists(vector_to_params(v, params), samples, cfg, targets)[0] / b
+            return backprop_lists(vector_to_params(v, params), cfg, targets)[0] / b
 
         err = gradient_check(mean_loss, grad / b, params_to_vector(params))
         assert err < GRADCHECK_TOLERANCES[family]
@@ -245,35 +245,34 @@ class TestBackpropBatch:
     def test_stacked_static_targets_give_the_batched_step(self, loss, family):
         # whole samples, which train pools once when points_per_sample >= every n
         cfg, params, samples, _ = ragged_batch(82, 12, loss, family, points=7)
-        pool_gathers_like_per_batch_pools(cfg, params, samples,
-                                          [draw_target(s, cfg) for s in samples])
+        pool_gathers_like_per_batch_pools(cfg, params, [draw_target(s, cfg) for s in samples])
 
     @pytest.mark.parametrize("family", SCORER_FAMILIES)
     @pytest.mark.parametrize("loss", LOSS_KINDS)
     def test_pool_of_drawn_lists_gives_the_batched_step(self, loss, family):
-        cfg, params, samples, targets = ragged_batch(85, 12, loss, family)
-        pool_gathers_like_per_batch_pools(cfg, params, samples, targets)
+        cfg, params, _, targets = ragged_batch(85, 12, loss, family)
+        pool_gathers_like_per_batch_pools(cfg, params, targets)
 
 
-def pool_gathers_like_per_batch_pools(cfg, params, samples, targets):
+def pool_gathers_like_per_batch_pools(cfg, params, lists):
     """One pool of all lists, gathered per batch, gives each batch's step
-    bit for bit, as a pool of just that batch's lists does."""
-    pool = _ListPool(samples, targets)
-    for batch in np.array_split(SplitMix64(83).permutation(len(samples)), [8]):
+    bit for bit, as a pool of just that batch's lists does, and each
+    gathered column, features included, holds those lists' own bits."""
+    pool = _ListPool(lists)
+    for batch in np.array_split(SplitMix64(83).permutation(len(lists)), [8]):
         got = backprop_batch(params, cfg, pool, batch)
-        expected = backprop_lists(params, [samples[k] for k in batch],
-                                  cfg, [targets[k] for k in batch])
+        expected = backprop_lists(params, cfg, [lists[k] for k in batch])
         assert got[0] == expected[0]
         assert got[1].tobytes() == expected[1].tobytes()
+        for rows, cols in pool.take(batch):
+            assert len(cols) == len(lists[0])
+            for t, k in enumerate(batch[rows].tolist()):
+                assert same_target(tuple(c[t] for c in cols), lists[k])
 
 
 def same_target(a, b):
-    if (a.points is None) != (b.points is None):
-        return False
-    if a.points is not None and not np.array_equal(a.points, b.points):
-        return False
-    return len(a.args) == len(b.args) and all(
-        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a.args, b.args)
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a, b)
     )
 
 
@@ -294,15 +293,17 @@ class TestDrawTarget:
         sample = make_sample(n=9, seed=13)
         cfg = TrainConfig(loss="weighted-listmle", learning_rate=0.1, epochs=1, seed=0,
                           points_per_sample=5)
-        target = draw_target(sample, cfg, SplitMix64(14))
-        assert target.points.size == 5
-        sub = sample.gt_scores[target.points]
-        assert target.args[0].tolist() == list(permutation_from_scores(sub).order)
+        x, order, _ = draw_target(sample, cfg, SplitMix64(14))
+        points = sample_points(sample, 5, SplitMix64(14))
+        assert points.size == 5
+        assert np.array_equal(x, sample.items[points])
+        sub = sample.gt_scores[points]
+        assert order.tolist() == list(permutation_from_scores(sub).order)
 
     def test_plain_listmle_weights_are_ones(self):
         sample = make_sample(n=8, seed=15)
         cfg = loss_config("listmle")
-        _, weights = draw_target(sample, cfg).args
+        _, _, weights = draw_target(sample, cfg)
         assert weights.tolist() == [1.0] * sample.n
 
     def test_whole_sample_pairwise_needs_two_items(self):
