@@ -11,7 +11,9 @@ Cases: synthetic datasets (linear, MLP, an eval set, one of 6000 items,
 one of more samples than the trainer's trace eval scores) and a
 hand-written ragged dataset with tied ground truth; every loss x scorer
 on both training sets, on whole samples and on ``--points 9 --pairs 11``
-draws; ``--eval-data``; the human format; ``--lr 1e308`` divergence per
+draws; every loss on batches of 64 (a 105-sample set, on whole samples
+and on ``--points 3 --pairs 11`` draws) and pairwise on one ragged batch;
+``--eval-data``; the human format; ``--lr 1e308`` divergence per
 loss; eval at several tie thresholds, ``--compare`` and a dimension
 mismatch; gradcheck.  Hand-written files test the readers: a dataset and
 a params file whose floats are valid but not written the way
@@ -39,6 +41,9 @@ from pathlib import Path
 LOSSES = ("pairwise", "listnet", "listmle", "weighted-listmle")
 SCORERS = ("linear", "mlp")
 TRAIN = ("--lr", "0.05", "--epochs", "3", "--batch", "4", "--seed", "7")
+# Mini-batches of at least 32 lists, where the ListMLE kernel's scans step
+# across columns, and large pair blocks (3000 pairs per sample by default).
+WIDE = ("--lr", "0.05", "--epochs", "3", "--batch", "64", "--seed", "7")
 HUGE = float.fromhex("0x1.fffffffffffffp+1023")
 
 
@@ -186,7 +191,16 @@ def cases() -> list[tuple[str, list[str]]]:
         # trace.final_eval_* score the first 100 samples, metrics.train.* all 105
         ("train-many", ["train", "--data", "gen-many/data.txt", "--loss", "weighted-listmle",
                         *TRAIN, "--out-params", "train-many/params.txt"]),
+        # one batch of 11 ragged lists: one pair block, each row reduced by its own length
+        ("train-wide-ragged-pairwise", ["train", "--data", "ragged/data.txt",
+                                        "--loss", "pairwise", *WIDE, "--pairs", "11",
+                                        "--out-params", "train-wide-ragged-pairwise/params.txt"]),
     ]
+    for loss in LOSSES:
+        for draw, flags in (("whole", []), ("drawn", ["--points", "3", "--pairs", "11"])):
+            name = f"train-wide-many-{loss}-{draw}"
+            out.append((name, ["train", "--data", "gen-many/data.txt", "--loss", loss, *WIDE,
+                               *flags, "--out-params", f"{name}/params.txt"]))
     for loss in LOSSES:
         name = f"train-diverge-{loss}"
         out.append((name, ["train", "--data", "gen-linear/data.txt", "--loss", loss,

@@ -34,15 +34,21 @@ class TrainingDivergedError(DepthRankError):
     epochs completed before the abort and ``params`` to the last finite
     parameters, so callers can still emit a partial report.  ``epoch`` and
     ``batch`` are the 1-based position of the failing step, when known, and
-    the message then ends with them.
+    the message then ends with them.  ``sample`` is the id of the first
+    sample of the batch whose loss value or gradient is non-finite, when
+    there is one, and the message then names it last.
     """
 
     trace = None
     params = None
 
-    def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
+    def __init__(self, message: str, epoch: int | None = None, batch: int | None = None,
+                 sample: str | None = None):
         if epoch is not None:
             message = f"{message} at epoch {epoch}, batch {batch}"
+        if sample is not None:
+            message = f"{message}, sample {sample!r}"
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
+        self.sample = sample

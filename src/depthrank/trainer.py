@@ -9,14 +9,23 @@ which :func:`backprop` is the one-sample call).  No autodiff is involved,
 so :func:`gradient_check` (central finite differences over the full
 parameter vector) is the correctness oracle.  A list is one tuple ``(x,
 *kernel args)``, the features it scores and the loss kernel's other
-inputs, and :func:`draw_target` builds every one of them: a per-epoch draw
-from the stream, or the whole sample when no stream is given.
+inputs, and :func:`draw_batch` builds them, a mini-batch or a whole run
+pool at a time: a per-epoch draw from the stream, or the whole sample when
+no stream is given.  It groups the lists by length and stacks each
+column of a group once.  A batch's pairs come from one stream block
+reshaped to ``(b, 2, k)``; points come from one Fisher-Yates prefix per
+sample; ranks, relevance and weights are one vectorised pass per group.
+The stream is consumed in sample order, so every list and the stream
+state equal those of one :func:`draw_target` (its one-sample call) per
+sample.
 
 Training is plain mini-batch SGD with classic momentum, fully
 deterministic given the config seed: sample order, per-epoch point/pair
 subsampling, and MLP initialization all flow from one
 :class:`~depthrank.rng.SplitMix64` stream.  A non-finite batch loss,
-gradient or parameter vector raises :class:`TrainingDivergedError`.
+gradient or parameter vector raises :class:`TrainingDivergedError`; a
+non-finite loss or gradient also names the first sample of the batch
+whose own value or gradient is non-finite.
 The trace keeps each epoch's mean loss and seconds.  Its metrics (WHDR
 and MAP on the first :data:`EVAL_SAMPLES` training samples, by the
 row-local rank kernel that ``evaluate`` uses, with its bits) are computed
@@ -33,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import RankedSample, all_pairs
-from .data import Dataset, normalize_relevance, sample_pair_arrays, sample_points
+from .data import Dataset, _pair_rows, _point_rows, _relevance_rows
 from .errors import InvalidInputError, TrainingDivergedError
 from .losses import (IDENTITY_WEIGHTS, WeightConfig, _listnet, _pairwise_batch, _weighted_nll,
                      position_weights)
@@ -114,29 +123,15 @@ def draw_target(sample: RankedSample, cfg: TrainConfig, rng: SplitMix64 | None =
     """One sample's list: ``(x, *args)``, the ``(n, d)`` features it scores
     and the arrays the loss kernel takes besides the scores: ``(i, j, r)``
     pairs, ``(gt_scores,)`` for ListNet, or ``(order, weights)`` for both
-    ListMLE losses, unit weights for plain ListMLE.
+    ListMLE losses, unit weights for plain ListMLE.  The one-sample call
+    of :func:`draw_batch`.
 
     With ``rng``, a per-epoch draw: ``pairs_per_sample`` pairs, or
     ``points_per_sample`` items when the sample has more.  Without it, the
     whole sample, every pair for the pairwise loss.
     """
-    x = sample.items
-    if cfg.loss == LOSS_PAIRWISE:
-        if rng is not None:
-            return (x, *sample_pair_arrays(sample.gt_scores, cfg.pairs_per_sample, rng))
-        if sample.n < 2:
-            raise InvalidInputError("pairwise loss needs samples with >= 2 items")
-        return (x, *all_pairs(sample.gt_scores))
-    gt = sample.gt_scores
-    if rng is not None and cfg.points_per_sample < sample.n:
-        points = sample_points(sample, cfg.points_per_sample, rng)
-        x, gt = x[points], gt[points]
-    if cfg.loss == LOSS_LISTNET:
-        return x, gt
-    # permutation_from_scores' order: a stable sort ranks tied items by index.
-    order = np.argsort(-gt, kind="stable")
-    weights = IDENTITY_WEIGHTS if cfg.loss == LOSS_LISTMLE else cfg.weight_config
-    return x, order, position_weights(weights, normalize_relevance(gt)[order])
+    ((_, cols),) = draw_batch([sample], cfg, rng)
+    return tuple(col[0] for col in cols)
 
 
 def _stack(arrays) -> np.ndarray:
@@ -144,19 +139,83 @@ def _stack(arrays) -> np.ndarray:
     return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
-class _ListPool:
-    """Lists (:func:`draw_target` tuples) grouped by list length and pair
-    count, with every column of a group, features included, stacked once."""
+def draw_batch(samples: Sequence[RankedSample], cfg: TrainConfig,
+               rng: SplitMix64 | None = None) -> list[tuple[np.ndarray, tuple]]:
+    """The :func:`draw_target` lists of ``samples``, in groups of one list
+    length: ``(members, (x, *args))`` per group, in order of first
+    appearance, ``members`` the ascending positions in ``samples`` of its
+    lists and each column stacked over them with a leading axis.
 
-    def __init__(self, lists: Sequence[tuple]):
-        keys: dict[tuple[int, int], list[int]] = {}
-        for k, (x, first, *_) in enumerate(lists):
-            keys.setdefault((len(x), first.size), []).append(k)
-        self.stacked = [tuple(_stack(col) for col in zip(*(lists[k] for k in members)))
-                        for members in keys.values()]
-        self.group_of = np.empty(len(lists), dtype=np.intp)
-        self.index_in_group = np.empty(len(lists), dtype=np.intp)
-        for g, members in enumerate(keys.values()):
+    With ``rng``, the samples draw in order, so the stream and every list
+    are those of one :func:`draw_target` call per sample.  Pairs come from
+    one block of ``2 * pairs_per_sample * len(samples)`` draws, reduced by
+    each sample's own length; points come from one Fisher-Yates prefix per
+    sample that has more than ``points_per_sample`` items.  Each group
+    then takes one gather per list and one vectorised pass for its ranks
+    and weights: a stable argsort per row, :func:`_relevance_rows` and
+    :func:`position_weights` on (g, n) rows, bit for bit what one list
+    gets alone.
+    """
+    ns = [s.n for s in samples]
+    if cfg.loss == LOSS_PAIRWISE:
+        if rng is not None:
+            pairs = _pair_rows([s.gt_scores for s in samples], cfg.pairs_per_sample, rng)
+        elif min(ns) < 2:
+            raise InvalidInputError("pairwise loss needs samples with >= 2 items")
+        groups = []
+        for members in _positions_by_value(ns):
+            x = _stack([samples[p].items for p in members])
+            if rng is None:
+                cols = [_stack(c) for c in zip(*(all_pairs(samples[p].gt_scores)
+                                                 for p in members))]
+            elif len(members) == len(samples):
+                cols = pairs
+            else:
+                cols = [a[members] for a in pairs]
+            groups.append((members, (x, *cols)))
+        return groups
+    k = cfg.points_per_sample
+    points = {}
+    if rng is not None:
+        drawn = [p for p, n in enumerate(ns) if n > k]
+        points = dict(zip(drawn, _point_rows([ns[p] for p in drawn], k, rng)))
+
+    def pick(p, a):
+        return a[points[p]] if p in points else a
+
+    groups = []
+    for members in _positions_by_value([k if p in points else n for p, n in enumerate(ns)]):
+        x = _stack([pick(p, samples[p].items) for p in members])
+        gt = _stack([pick(p, samples[p].gt_scores) for p in members])
+        if cfg.loss == LOSS_LISTNET:
+            groups.append((members, (x, gt)))
+            continue
+        # permutation_from_scores' order: a stable sort ranks tied items by index.
+        order = np.argsort(-gt, axis=1, kind="stable")
+        weights = IDENTITY_WEIGHTS if cfg.loss == LOSS_LISTMLE else cfg.weight_config
+        relevance = np.take_along_axis(_relevance_rows(gt), order, axis=1)
+        groups.append((members, (x, order, position_weights(weights, relevance))))
+    return groups
+
+
+def _positions_by_value(values: Sequence[int]) -> list[np.ndarray]:
+    """The positions of each distinct value, ascending, in order of first appearance."""
+    positions: dict[int, list[int]] = {}
+    for p, value in enumerate(values):
+        positions.setdefault(value, []).append(p)
+    return [np.array(ps, dtype=np.intp) for ps in positions.values()]
+
+
+class _ListPool:
+    """Lists in :func:`draw_batch`'s groups of one list length, every column
+    of a group, features included, stacked once."""
+
+    def __init__(self, groups: Sequence[tuple[np.ndarray, tuple]]):
+        self.stacked = [cols for _, cols in groups]
+        size = sum(len(members) for members, _ in groups)
+        self.group_of = np.empty(size, dtype=np.intp)
+        self.index_in_group = np.empty(size, dtype=np.intp)
+        for g, (members, _) in enumerate(groups):
             self.group_of[members] = g
             self.index_in_group[members] = np.arange(len(members))
 
@@ -176,16 +235,14 @@ class _ListPool:
             yield rows, cols
 
 
-def backprop_batch(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batch: np.ndarray):
-    """Summed loss value and summed flat parameter gradient of the lists
-    ``batch`` (positions in ``pool``), in batch order.
+def _backprop_rows(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batch: np.ndarray):
+    """Loss value and flat parameter gradient of each list ``batch``
+    (positions in ``pool``): a length-b value array and (b, P) gradient
+    rows, in batch order.
 
     Each group of the batch makes one forward pass, one loss-kernel call
-    and one Jacobian call.  The per-list gradients are reduced in batch
-    order and the loss is the in-order sum of the per-list values, so both
-    are bit-identical to summing one :func:`backprop` per list.  Kernels
-    are looked up by name at each call, so a wrapper installed on one sees
-    every call.
+    and one Jacobian call.  Kernels are looked up by name at each call, so
+    a wrapper installed on one sees every call.
     """
     values = np.empty(batch.size)
     grads = None
@@ -201,6 +258,18 @@ def backprop_batch(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batc
         if grads is None:
             grads = np.empty((batch.size, g.shape[1]))
         grads[rows] = g
+    return values, grads
+
+
+def backprop_batch(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batch: np.ndarray):
+    """Summed loss value and summed flat parameter gradient of the lists
+    ``batch`` (positions in ``pool``), in batch order.
+
+    The per-list gradients of :func:`_backprop_rows` are reduced in batch
+    order and the loss is the in-order sum of the per-list values, so both
+    are bit-identical to summing one :func:`backprop` per list.
+    """
+    values, grads = _backprop_rows(params, cfg, pool, batch)
     total = 0.0
     for value in values.tolist():
         total += value
@@ -220,7 +289,8 @@ def backprop(
     """
     if target is None:
         target = draw_target(sample, cfg)
-    return backprop_batch(params, cfg, _ListPool([target]), np.zeros(1, dtype=np.intp))
+    one = np.zeros(1, dtype=np.intp)
+    return backprop_batch(params, cfg, _ListPool([(one, tuple(c[None] for c in target))]), one)
 
 
 def sgd_step(
@@ -293,10 +363,10 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     # One pool for the run when every listwise target is the whole sample.
     pool = None
     if cfg.loss != LOSS_PAIRWISE and cfg.points_per_sample >= max(s.n for s in dataset.samples):
-        pool = _ListPool([draw_target(s, cfg) for s in dataset.samples])
+        pool = _ListPool(draw_batch(dataset.samples, cfg))
     eval_ctx = _make_eval_context(dataset.samples[:EVAL_SAMPLES])
     trace = TrainTrace()
-    epoch_params = diverged = None
+    epoch_params = diverged = sample_id = None
     # divergence is caught by the finiteness checks, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -306,13 +376,13 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
                 epoch_loss = 0.0
                 for batch_no, start in enumerate(range(0, m, cfg.batch), start=1):
                     batch = order[start : start + cfg.batch]
-                    if pool is not None:
-                        total_val, grad_sum = backprop_batch(params, cfg, pool, batch)
-                    else:
+                    step_pool, rows = pool, batch
+                    if pool is None:
                         # every draw of the batch, in batch order, before any compute
-                        lists = [draw_target(dataset.samples[k], cfg, rng) for k in batch.tolist()]
-                        total_val, grad_sum = backprop_batch(
-                            params, cfg, _ListPool(lists), np.arange(batch.size))
+                        step_pool = _ListPool(draw_batch(
+                            [dataset.samples[k] for k in batch.tolist()], cfg, rng))
+                        rows = np.arange(batch.size)
+                    total_val, grad_sum = backprop_batch(params, cfg, step_pool, rows)
                     if not math.isfinite(total_val):
                         raise TrainingDivergedError("non-finite training loss")
                     vec, velocity = sgd_step(
@@ -326,11 +396,18 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
                 epoch_params = params
         except TrainingDivergedError as exc:
             diverged = exc
+            # Name the first list of the batch whose value or gradient is
+            # non-finite.  A non-finite step has none: its sums were finite.
+            values, grads = _backprop_rows(params, cfg, step_pool, rows)
+            bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(grads).all(axis=1)))
+            if bad.size:
+                sample_id = dataset.samples[batch[bad[0]]].id
         if epoch_params is not None:
             trace.final_eval_whdr, trace.final_eval_map = _trace_eval(epoch_params, eval_ctx)
     if diverged is not None:
         # the epoch under way is the one after those the trace completed
-        located = TrainingDivergedError(str(diverged), epoch=len(trace) + 1, batch=batch_no)
+        located = TrainingDivergedError(str(diverged), epoch=len(trace) + 1, batch=batch_no,
+                                        sample=sample_id)
         # params are the last finite ones: sgd_step rejects a non-finite update
         located.trace = trace
         located.params = params

@@ -152,10 +152,11 @@ class TestTrainCommand:
         assert "kind=train" in report_path.read_text()
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: training diverged: "), proc.stderr
-        # the line names where it happened; all six samples make one batch
+        # the line names where it happened; all six samples make one batch, and
+        # a non-finite loss names the first sample in batch order that has one
         where = {
-            "pairwise": "non-finite training loss at epoch 2, batch 1",
-            "listnet": "non-finite training loss at epoch 2, batch 1",
+            "pairwise": "non-finite training loss at epoch 2, batch 1, sample 's00002'",
+            "listnet": "non-finite training loss at epoch 2, batch 1, sample 's00002'",
             "listmle": "non-finite parameters after SGD step at epoch 1, batch 1",
             "weighted-listmle": "non-finite parameters after SGD step at epoch 1, batch 1",
         }

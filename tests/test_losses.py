@@ -1,11 +1,13 @@
 import math
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthrank import losses
 from depthrank.core import Permutation, permutation_from_scores
 from depthrank.errors import InvalidInputError
 from depthrank.losses import (
@@ -205,7 +207,10 @@ class TestKernelRowsMatchOneListKernels:
         assert grads.tobytes() == np.array([grad for _, grad in expected]).tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32), b=st.integers(1, 7), n=st.integers(1, 12))
+    # 31 to 33 rows straddle the row count from which the scans step across columns
+    @given(seed=st.integers(0, 2**32),
+           b=st.one_of(st.integers(1, 7), st.sampled_from([31, 32, 33, 100])),
+           n=st.integers(1, 12))
     def test_weighted_nll(self, seed, b, n):
         _, z, gt = kernel_rows(seed, b, n)
         order = np.argsort(-gt, axis=1, kind="stable")
@@ -216,6 +221,32 @@ class TestKernelRowsMatchOneListKernels:
             value, grad = oracles.one_list_weighted_nll(order[row], weights[row], z[row])
             assert values[row] == value
             assert grads[row].tobytes() == grad.tobytes()
+
+
+class TestSteppedScan:
+    """The column-stepped log-add-exp scan of the ListMLE kernel has the bits
+    of ``np.logaddexp.accumulate`` along each row, in both directions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32), b=st.sampled_from([1, 31, 32, 33, 100]),
+           n=st.sampled_from([1, 2, 3, 20, 60]), reverse=st.booleans(),
+           zero_gains=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_bits_match_accumulate(self, seed, b, n, reverse, zero_gains):
+        # scores with ties and magnitudes up to 700, and -inf where a zero
+        # gain's log weight enters the gradient's prefix scan
+        rng, z, _ = kernel_rows(seed, b, n)
+        a = np.where(rng.uniforms(b * n).reshape(b, n) < zero_gains, -np.inf,
+                     np.clip(z, -700.0, 700.0))
+        flip = slice(None, None, -1) if reverse else slice(None)
+        expected = np.logaddexp.accumulate(a[:, flip], axis=1)[:, flip]
+        for row in range(b):  # the one-list scan, as one_list_weighted_nll runs it
+            assert (np.logaddexp.accumulate(a[row, flip])[flip].tobytes()
+                    == np.ascontiguousarray(expected[row]).tobytes())
+        with mock.patch.object(losses, "_STEPPED_SCAN_ROWS", 1):
+            stepped = losses._logaddexp_scan(a, reverse)
+        assert np.ascontiguousarray(stepped).tobytes() == np.ascontiguousarray(expected).tobytes()
+        chosen = losses._logaddexp_scan(a, reverse)
+        assert np.ascontiguousarray(chosen).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestTopOneProbabilities:

@@ -118,6 +118,15 @@ def test_permutation_and_sample_points_match_naive_fisher_yates(seed, n, data):
     assert rng.next_u64() == ref.next_u64()
 
 
+@pytest.mark.parametrize("n, k", [(1, 0), (5, 2), (20, 19), (1000, 100), (5000, 4999)])
+def test_shuffle_prefix_matches_naive_fisher_yates_at_fixed_sizes(n, k):
+    ref, draw, calls = counted_draws(n + k)
+    rng = SplitMix64(n + k)
+    got = rng.shuffle_prefix(n, k)
+    assert got.dtype == np.intp and got.tolist() == oracles.fisher_yates_prefix(n, k, draw)
+    assert len(calls) == k and rng.next_u64() == ref.next_u64()
+
+
 @pytest.mark.parametrize("n, k", [(3, 4), (3, -1), (-1, 0)])
 def test_shuffle_prefix_rejects_bad_sizes(n, k):
     with pytest.raises(InvalidInputError):

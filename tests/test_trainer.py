@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthrank.core import RankedSample, permutation_from_scores
-from depthrank.data import Dataset, SyntheticSpec, generate_synthetic, sample_points
+from depthrank.core import RankedSample, all_pairs, permutation_from_scores
+from depthrank.data import (Dataset, SyntheticSpec, generate_synthetic, normalize_relevance,
+                            sample_points)
 from depthrank.errors import InvalidInputError, TrainingDivergedError
-from depthrank.losses import listnet_loss, pairwise_loss
+from depthrank.losses import IDENTITY_WEIGHTS, listnet_loss, pairwise_loss, position_weights
 from depthrank.metrics import _KERNEL_ITEMS, evaluate
 from depthrank.rng import SplitMix64
 from depthrank.scorer import (
@@ -39,6 +40,7 @@ from depthrank.trainer import (
     loss_config,
     _make_eval_context,
     _trace_eval,
+    draw_batch,
     draw_target,
     sgd_step,
     train,
@@ -203,9 +205,20 @@ def ragged_batch(seed, size, loss, family, points=4, pairs=5):
     return cfg, params, samples, targets
 
 
+def pool_of(lists):
+    """A pool of these :func:`draw_target` lists, grouped by list length and
+    pair count as :func:`draw_batch` groups them."""
+    keys = {}
+    for k, (x, first, *_) in enumerate(lists):
+        keys.setdefault((len(x), first.size), []).append(k)
+    return _ListPool([(np.array(members), tuple(np.stack(col) for col in
+                                                zip(*(lists[k] for k in members))))
+                      for members in keys.values()])
+
+
 def backprop_lists(params, cfg, lists):
     """The batched step over a pool of exactly these lists, as train takes drawn lists."""
-    return backprop_batch(params, cfg, _ListPool(lists), np.arange(len(lists)))
+    return backprop_batch(params, cfg, pool_of(lists), np.arange(len(lists)))
 
 
 class TestBackpropBatch:
@@ -258,7 +271,7 @@ def pool_gathers_like_per_batch_pools(cfg, params, lists):
     """One pool of all lists, gathered per batch, gives each batch's step
     bit for bit, as a pool of just that batch's lists does, and each
     gathered column, features included, holds those lists' own bits."""
-    pool = _ListPool(lists)
+    pool = pool_of(lists)
     for batch in np.array_split(SplitMix64(83).permutation(len(lists)), [8]):
         got = backprop_batch(params, cfg, pool, batch)
         expected = backprop_lists(params, cfg, [lists[k] for k in batch])
@@ -274,6 +287,71 @@ def same_target(a, b):
     return len(a) == len(b) and all(
         x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a, b)
     )
+
+
+def same_bits(a, b):
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(a, b)
+    )
+
+
+def one_sample_list(sample, cfg, rng=None):
+    """The list of one sample as draw_target built it before draws were
+    batched, with its draws taken the naive way: two blocks of k draws per
+    pair set, a textbook Fisher-Yates prefix per point set."""
+    x, gt, n = sample.items, sample.gt_scores, sample.n
+    if cfg.loss == "pairwise":
+        if rng is None:
+            return (x, *all_pairs(gt))
+        k = cfg.pairs_per_sample
+        u = rng.u64_block(k) % np.uint64(n)
+        v = rng.u64_block(k) % np.uint64(n - 1)
+        i = u.astype(np.intp)
+        j = ((u + v + np.uint64(1)) % np.uint64(n)).astype(np.intp)
+        d = gt[i] - gt[j]
+        return x, i, j, (d > 0).astype(np.int64) - (d < 0)
+    if rng is not None and cfg.points_per_sample < n:
+        k = cfg.points_per_sample
+        points = np.array(oracles.fisher_yates_prefix(n, k, rng.next_u64)[:k], dtype=np.intp)
+        x, gt = x[points], gt[points]
+    if cfg.loss == "listnet":
+        return x, gt
+    order = np.argsort(-gt, kind="stable")
+    weights = IDENTITY_WEIGHTS if cfg.loss == "listmle" else cfg.weight_config
+    return x, order, position_weights(weights, normalize_relevance(gt)[order])
+
+
+class TestDrawBatch:
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), size=st.integers(1, 12), points=st.integers(1, 40),
+           pairs=st.integers(1, 30), drawn=st.booleans())
+    def test_equals_per_sample_draws(self, loss, seed, size, points, pairs, drawn):
+        # ragged n in 2..40, so points falls below some lists and at or above others
+        rng = SplitMix64(seed)
+        samples = []
+        for k in range(size):
+            n = 2 + rng.below(39)
+            gt = (rng.u64_block(n) % np.uint64(5)).astype(np.float64)  # ties are common
+            samples.append(RankedSample(id=f"s{k}", items=rng.normals(n * 3).reshape(n, 3),
+                                        gt_scores=gt))
+        cfg = TrainConfig(loss=loss, learning_rate=0.1, epochs=1, seed=0,
+                          points_per_sample=points, pairs_per_sample=pairs)
+        batch_rng = SplitMix64(seed + 1) if drawn else None
+        ref_rng = SplitMix64(seed + 1) if drawn else None
+        groups = draw_batch(samples, cfg, batch_rng)
+        expected = [one_sample_list(s, cfg, ref_rng) for s in samples]
+        members = np.concatenate([m for m, _ in groups])
+        assert sorted(members.tolist()) == list(range(size))
+        for positions, cols in groups:
+            assert (np.diff(positions) > 0).all()
+            assert len({len(expected[p][0]) for p in positions.tolist()}) == 1
+            for t, p in enumerate(positions.tolist()):
+                assert same_bits(tuple(c[t] for c in cols), expected[p])
+                assert same_bits(draw_target(samples[p], cfg), one_sample_list(samples[p], cfg))
+        if drawn:
+            assert batch_rng.next_u64() == ref_rng.next_u64()
 
 
 class TestDrawTarget:
@@ -572,8 +650,9 @@ class TestTrain:
         assert info.value.params is not None
         # one batch per epoch: the failing epoch is the first one not traced
         assert (info.value.epoch, info.value.batch) == (len(info.value.trace) + 1, 1)
+        assert info.value.sample == "d2"
         assert str(info.value) == (
-            f"non-finite training loss at epoch {info.value.epoch}, batch 1"
+            f"non-finite training loss at epoch {info.value.epoch}, batch 1, sample 'd2'"
         )
 
     def test_divergence_names_its_epoch_and_batch(self):
@@ -588,7 +667,9 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as info:
             train(Dataset(samples=samples), cfg)
         assert (info.value.epoch, info.value.batch) == (1, 3)
-        assert str(info.value) == "non-finite training loss at epoch 1, batch 3"
+        # one sample per batch: the third of epoch 1's order (a linear init draws nothing)
+        assert info.value.sample == samples[SplitMix64(5).permutation(4)[2]].id == "d3"
+        assert str(info.value) == "non-finite training loss at epoch 1, batch 3, sample 'd3'"
         assert len(info.value.trace) == 0
 
     @pytest.mark.parametrize("loss", LOSS_KINDS)
