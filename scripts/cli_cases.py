@@ -42,7 +42,7 @@ LOSSES = ("pairwise", "listnet", "listmle", "weighted-listmle")
 SCORERS = ("linear", "mlp")
 TRAIN = ("--lr", "0.05", "--epochs", "3", "--batch", "4", "--seed", "7")
 # Mini-batches of at least 32 lists, where the ListMLE kernel's scans step
-# across columns, and large pair blocks (3000 pairs per sample by default).
+# across columns, and large pair sets (3000 pairs per sample by default).
 WIDE = ("--lr", "0.05", "--epochs", "3", "--batch", "64", "--seed", "7")
 HUGE = float.fromhex("0x1.fffffffffffffp+1023")
 
@@ -191,7 +191,7 @@ def cases() -> list[tuple[str, list[str]]]:
         # trace.final_eval_* score the first 100 samples, metrics.train.* all 105
         ("train-many", ["train", "--data", "gen-many/data.txt", "--loss", "weighted-listmle",
                         *TRAIN, "--out-params", "train-many/params.txt"]),
-        # one batch of 11 ragged lists: one pair block, each row reduced by its own length
+        # one batch of 11 ragged lists, grouped by length
         ("train-wide-ragged-pairwise", ["train", "--data", "ragged/data.txt",
                                         "--loss", "pairwise", *WIDE, "--pairs", "11",
                                         "--out-params", "train-wide-ragged-pairwise/params.txt"]),

@@ -35,7 +35,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -345,8 +345,7 @@ def _relevance_rows(raw: np.ndarray) -> np.ndarray:
 
 
 def sample_points(sample: RankedSample, k: int, rng: SplitMix64) -> np.ndarray:
-    """k distinct item indices, uniform without replacement: the one-list
-    call of :func:`_point_rows`.
+    """k distinct item indices, uniform without replacement.
 
     ``k == n`` returns every index (ascending) without consuming any
     draws; otherwise a partial Fisher-Yates pass consumes exactly k draws.
@@ -354,49 +353,30 @@ def sample_points(sample: RankedSample, k: int, rng: SplitMix64) -> np.ndarray:
     n = sample.n
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must satisfy 1 <= k <= {n}: {k}")
-    return _point_rows([n], k, rng)[0]
-
-
-def _point_rows(ns: Sequence[int], k: int, rng: SplitMix64) -> np.ndarray:
-    """:func:`sample_points` of lists of ``ns`` items (each at least ``k``),
-    one after another from the stream, as (b, k) index rows."""
-    out = np.empty((len(ns), k), dtype=np.intp)
-    for row, n in zip(out, ns):
-        row[:] = np.arange(n) if k == n else rng.shuffle_prefix(n, k)[:k]
-    return out
+    if k == n:
+        return np.arange(n, dtype=np.intp)
+    return rng.shuffle_prefix(n, k)[:k]
 
 
 def sample_pair_arrays(gt_scores: np.ndarray, k: int, rng: SplitMix64):
     """k labeled pairs as (i, j, r) arrays, labels from the ground-truth
-    scores (equal scores tie): the one-list call of :func:`_pair_rows`.
+    scores (equal scores tie).
 
     Pairs are drawn uniformly with replacement across pairs; indices within
     a pair are always distinct.  Consumes exactly 2k draws.
     """
+    n = gt_scores.size
+    if n < 2:
+        raise InvalidInputError("need at least two items to sample pairs")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1: {k}")
-    return tuple(a[0] for a in _pair_rows([gt_scores], k, rng))
-
-
-def _pair_rows(gts: Sequence[np.ndarray], k: int, rng: SplitMix64):
-    """:func:`sample_pair_arrays` of each ground-truth vector of ``gts``, one
-    after another from the stream, as (b, k) rows ``(i, j, r)``.
-
-    One block of ``2 k b`` draws holds row p's k first indices and then its
-    k offsets, the values ``sample_pair_arrays`` draws for list p after
-    lists 0..p-1; each row is reduced by its own list length.
-    """
-    ns = np.array([gt.size for gt in gts], dtype=np.uint64)[:, None]
-    if ns.min() < 2:
-        raise InvalidInputError("need at least two items to sample pairs")
-    u, v = rng.u64_block(2 * k * len(gts)).reshape(len(gts), 2, k).transpose(1, 0, 2)
-    u = u % ns
-    v = v % (ns - np.uint64(1))
+    # one block of 2k: the same stream as k first indices, then k offsets
+    u, v = rng.u64_block(2 * k).reshape(2, k)
+    u = u % np.uint64(n)
+    v = v % np.uint64(n - 1)
     i = u.astype(np.intp)
-    j = ((u + v + np.uint64(1)) % ns).astype(np.intp)
-    # label every row at once on the concatenated scores
-    starts = (np.cumsum(ns) - ns[:, 0]).astype(np.intp)[:, None]
-    return i, j, label_pairs(np.concatenate(gts), starts + i, starts + j)
+    j = ((u + v + np.uint64(1)) % np.uint64(n)).astype(np.intp)
+    return i, j, label_pairs(gt_scores, i, j)
 
 
 def _meta_json(meta: dict) -> str:

@@ -227,14 +227,20 @@ def evaluate(
     )
 
 
+def _same_size(sizes: Sequence[int]) -> list[np.ndarray]:
+    """The positions of each distinct size, ascending, smallest size first:
+    how every caller that stacks lists groups them by length."""
+    sizes = np.asarray(sizes)
+    by_size = np.argsort(sizes, kind="stable")
+    return np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1)
+
+
 def _by_length(gt_scores: list[np.ndarray], preds: list[np.ndarray]):
     """Samples grouped by list length, at most ``max(1, _KERNEL_ITEMS // n)``
     lists of n items per group: ``(sample indices, (g, n) ground truth,
     (g, n) predictions)`` per group."""
-    sizes = np.array([g.size for g in gt_scores])
-    by_size = np.argsort(sizes, kind="stable")
-    for same in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-        step = max(1, _KERNEL_ITEMS // sizes[same[0]])
+    for same in _same_size([g.size for g in gt_scores]):
+        step = max(1, _KERNEL_ITEMS // gt_scores[same[0]].size)
         for lo in range(0, same.size, step):
             rows = same[lo:lo + step]
             yield rows, np.stack([gt_scores[r] for r in rows]), np.stack([preds[r] for r in rows])

@@ -14,9 +14,7 @@ reproducibility contract and the byte-identity tests rely on.
 Scalar draws and block draws are interchangeable: ``u64_block(n)``
 produces exactly the same values as ``n`` calls to ``next_u64``.  Output
 ``i`` is ``mix(state + i * gamma)``, so blocks split anywhere are the same
-stream: one ``u64_block(2 * k * b)`` reshaped to ``(b, 2, k)`` holds the
-values of ``b`` successive pairs of ``u64_block(k)`` calls.  The trainer
-draws a mini-batch's pairs that way, one block per batch.
+stream.
 """
 
 from __future__ import annotations

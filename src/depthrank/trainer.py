@@ -12,12 +12,10 @@ parameter vector) is the correctness oracle.  A list is one tuple ``(x,
 inputs, and :func:`draw_batch` builds them, a mini-batch or a whole run
 pool at a time: a per-epoch draw from the stream, or the whole sample when
 no stream is given.  It groups the lists by length and stacks each
-column of a group once.  A batch's pairs come from one stream block
-reshaped to ``(b, 2, k)``; points come from one Fisher-Yates prefix per
-sample; ranks, relevance and weights are one vectorised pass per group.
-The stream is consumed in sample order, so every list and the stream
-state equal those of one :func:`draw_target` (its one-sample call) per
-sample.
+column of a group once.  Each sample draws its pairs or points in sample
+order, so every list and the stream state equal those of one
+:func:`draw_target` (its one-sample call) per sample; ranks, relevance
+and weights are one vectorised pass per group.
 
 Training is plain mini-batch SGD with classic momentum, fully
 deterministic given the config seed: sample order, per-epoch point/pair
@@ -42,11 +40,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import RankedSample, all_pairs
-from .data import Dataset, _pair_rows, _point_rows, _relevance_rows
+from .data import Dataset, _relevance_rows, sample_pair_arrays, sample_points
 from .errors import InvalidInputError, TrainingDivergedError
 from .losses import (IDENTITY_WEIGHTS, WeightConfig, _listnet, _pairwise_batch, _weighted_nll,
                      position_weights)
-from .metrics import _rank_metrics_by_length, check_evaluable
+from .metrics import _rank_metrics_by_length, _same_size, check_evaluable
 from .rng import SplitMix64
 from .scorer import (SCORER_FAMILIES, SCORER_LINEAR, SCORER_MLP, ScorerParams,
                      _param_grad_from_scores, init_params, params_to_vector, random_params,
@@ -142,49 +140,38 @@ def _stack(arrays) -> np.ndarray:
 def draw_batch(samples: Sequence[RankedSample], cfg: TrainConfig,
                rng: SplitMix64 | None = None) -> list[tuple[np.ndarray, tuple]]:
     """The :func:`draw_target` lists of ``samples``, in groups of one list
-    length: ``(members, (x, *args))`` per group, in order of first
-    appearance, ``members`` the ascending positions in ``samples`` of its
-    lists and each column stacked over them with a leading axis.
+    length: ``(members, (x, *args))`` per group, shortest lists first,
+    ``members`` the ascending positions in ``samples`` of its lists and
+    each column stacked over them with a leading axis.
 
-    With ``rng``, the samples draw in order, so the stream and every list
-    are those of one :func:`draw_target` call per sample.  Pairs come from
-    one block of ``2 * pairs_per_sample * len(samples)`` draws, reduced by
-    each sample's own length; points come from one Fisher-Yates prefix per
-    sample that has more than ``points_per_sample`` items.  Each group
-    then takes one gather per list and one vectorised pass for its ranks
-    and weights: a stable argsort per row, :func:`_relevance_rows` and
-    :func:`position_weights` on (g, n) rows, bit for bit what one list
-    gets alone.
+    With ``rng``, each sample draws its pairs or points in order, so the
+    stream and every list are those of one :func:`draw_target` call per
+    sample.  Each listwise group then takes one gather per list and one
+    vectorised pass for its ranks and weights: a stable argsort per row,
+    :func:`_relevance_rows` and :func:`position_weights` on (g, n) rows,
+    bit for bit what one list gets alone.
     """
     ns = [s.n for s in samples]
     if cfg.loss == LOSS_PAIRWISE:
         if rng is not None:
-            pairs = _pair_rows([s.gt_scores for s in samples], cfg.pairs_per_sample, rng)
+            pairs = [sample_pair_arrays(s.gt_scores, cfg.pairs_per_sample, rng) for s in samples]
         elif min(ns) < 2:
             raise InvalidInputError("pairwise loss needs samples with >= 2 items")
-        groups = []
-        for members in _positions_by_value(ns):
-            x = _stack([samples[p].items for p in members])
-            if rng is None:
-                cols = [_stack(c) for c in zip(*(all_pairs(samples[p].gt_scores)
-                                                 for p in members))]
-            elif len(members) == len(samples):
-                cols = pairs
-            else:
-                cols = [a[members] for a in pairs]
-            groups.append((members, (x, *cols)))
-        return groups
+        else:
+            pairs = [all_pairs(s.gt_scores) for s in samples]
+        return [(members, (_stack([samples[p].items for p in members]),
+                           *(_stack(col) for col in zip(*(pairs[p] for p in members)))))
+                for members in _same_size(ns)]
     k = cfg.points_per_sample
     points = {}
     if rng is not None:
-        drawn = [p for p, n in enumerate(ns) if n > k]
-        points = dict(zip(drawn, _point_rows([ns[p] for p in drawn], k, rng)))
+        points = {p: sample_points(s, k, rng) for p, s in enumerate(samples) if s.n > k}
 
     def pick(p, a):
         return a[points[p]] if p in points else a
 
     groups = []
-    for members in _positions_by_value([k if p in points else n for p, n in enumerate(ns)]):
+    for members in _same_size([k if p in points else n for p, n in enumerate(ns)]):
         x = _stack([pick(p, samples[p].items) for p in members])
         gt = _stack([pick(p, samples[p].gt_scores) for p in members])
         if cfg.loss == LOSS_LISTNET:
@@ -196,14 +183,6 @@ def draw_batch(samples: Sequence[RankedSample], cfg: TrainConfig,
         relevance = np.take_along_axis(_relevance_rows(gt), order, axis=1)
         groups.append((members, (x, order, position_weights(weights, relevance))))
     return groups
-
-
-def _positions_by_value(values: Sequence[int]) -> list[np.ndarray]:
-    """The positions of each distinct value, ascending, in order of first appearance."""
-    positions: dict[int, list[int]] = {}
-    for p, value in enumerate(values):
-        positions.setdefault(value, []).append(p)
-    return [np.array(ps, dtype=np.intp) for ps in positions.values()]
 
 
 class _ListPool:

@@ -12,7 +12,7 @@ from depthrank.data import (Dataset, SyntheticSpec, generate_synthetic, normaliz
                             sample_points)
 from depthrank.errors import InvalidInputError, TrainingDivergedError
 from depthrank.losses import IDENTITY_WEIGHTS, listnet_loss, pairwise_loss, position_weights
-from depthrank.metrics import _KERNEL_ITEMS, evaluate
+from depthrank.metrics import _KERNEL_ITEMS, _same_size, evaluate
 from depthrank.rng import SplitMix64
 from depthrank.scorer import (
     SCORER_FAMILIES,
@@ -206,14 +206,11 @@ def ragged_batch(seed, size, loss, family, points=4, pairs=5):
 
 
 def pool_of(lists):
-    """A pool of these :func:`draw_target` lists, grouped by list length and
-    pair count as :func:`draw_batch` groups them."""
-    keys = {}
-    for k, (x, first, *_) in enumerate(lists):
-        keys.setdefault((len(x), first.size), []).append(k)
-    return _ListPool([(np.array(members), tuple(np.stack(col) for col in
-                                                zip(*(lists[k] for k in members))))
-                      for members in keys.values()])
+    """A pool of these :func:`draw_target` lists, grouped by list length as
+    :func:`draw_batch` groups them."""
+    return _ListPool([(members, tuple(np.stack(col) for col in
+                                      zip(*(lists[k] for k in members.tolist()))))
+                      for members in _same_size([len(x) for x, *_ in lists])])
 
 
 def backprop_lists(params, cfg, lists):
