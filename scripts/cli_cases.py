@@ -8,7 +8,8 @@ case, ``OUT/<case>/`` receives ``stdout.txt``, ``stderr.txt``,
 trees show any change in CLI output with ``diff -r``.
 
 Cases: synthetic datasets (linear, MLP, an eval set, one of 6000 items,
-one of more samples than the trainer's trace eval scores) and a
+one of more samples than the trainer's trace eval scores, one of more
+samples than the generator draws in one stream block) and a
 hand-written ragged dataset with tied ground truth; every loss x scorer
 on both training sets, on whole samples and on ``--points 9 --pairs 11``
 draws; every loss on batches of 64 (a 105-sample set, on whole samples
@@ -165,6 +166,11 @@ def cases() -> list[tuple[str, list[str]]]:
         # more samples than the trainer's trace eval scores (EVAL_SAMPLES)
         ("gen-many", ["gen-data", "--n-samples", "105", "--items", "5", "--dim", "4",
                       "--noise", "0.3", "--seed", "12", "--out", "gen-many/data.txt"]),
+        # more samples than one stream block of the generator holds, with odd
+        # n * d and odd n, so a chunk ends mid-dataset
+        ("gen-chunked", ["gen-data", "--n-samples", "600", "--items", "7", "--dim", "3",
+                         "--noise", "0.2", "--family", "mlp", "--seed", "14",
+                         "--out", "gen-chunked/data.txt"]),
     ]
     for data in ("gen-linear", "ragged"):
         for loss in LOSSES:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import RankedSample, as_score_vector, label_pairs
 from .errors import DatasetFormatError, DatasetVersionError, InvalidInputError
-from .rng import SplitMix64
+from .rng import SplitMix64, _box_muller
 
 DATASET_FORMAT = "depthrank.dataset.v1"
 FAMILY_LINEAR = "linear"
@@ -308,19 +308,37 @@ def hidden_raw_scores(hidden: dict, features: np.ndarray) -> np.ndarray:
     return _hidden_scorer(hidden, features.shape[1])(features)
 
 
+# About the most draws one stream block holds: a chunk of samples is as
+# many whole samples as fit, and a larger sample takes a block alone.
+# 2^12 draws ran as fast as 2^14 and, unlike it, left peak RSS unchanged.
+_CHUNK_DRAWS = 1 << 12
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Draw a dataset from the spec; bit-identical for identical specs."""
+    """Draw a dataset from the spec; bit-identical for identical specs.
+
+    Sample by sample, the stream gives ``normals(n * d)`` features and, with
+    noise, ``normals(n)`` label noise; a chunk of samples draws them as the
+    rows of one block (see :mod:`depthrank.rng`).  The hidden scorer runs
+    once per sample, since a stacked matmul rounds some shapes differently.
+    """
     rng = SplitMix64(spec.seed)
     hidden = _draw_hidden(rng, spec)
     n, d = spec.items_per_sample, spec.feature_dim
     hidden_scores = _hidden_scorer(hidden, d)
+    noise_at = 2 * ((n * d + 1) // 2)
+    row = noise_at + (2 * ((n + 1) // 2) if spec.noise_sigma > 0 else 0)
+    per_chunk = max(1, _CHUNK_DRAWS // row)
     samples = []
-    for idx in range(spec.n_samples):
-        features = rng.normals(n * d).reshape(n, d)
-        raw = hidden_scores(features)
-        if spec.noise_sigma > 0:
-            raw = raw + spec.noise_sigma * rng.normals(n)
-        samples.append(RankedSample(id=f"s{idx:05d}", items=features, gt_scores=raw))
+    for start in range(0, spec.n_samples, per_chunk):
+        rows = min(per_chunk, spec.n_samples - start)
+        draws = _box_muller(rng.u64_block(rows * row)).reshape(rows, row)
+        for idx, values in enumerate(draws, start):
+            features = values[: n * d].reshape(n, d)
+            raw = hidden_scores(features)
+            if spec.noise_sigma > 0:
+                raw = raw + spec.noise_sigma * values[noise_at : noise_at + n]
+            samples.append(RankedSample(id=f"s{idx:05d}", items=features, gt_scores=raw))
     meta = {"format": DATASET_FORMAT, "spec": asdict(spec), "hidden": hidden}
     return Dataset(samples=tuple(samples), meta=meta)
 

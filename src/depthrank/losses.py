@@ -282,7 +282,9 @@ def _weighted_nll(order: np.ndarray, weights: np.ndarray, z: np.ndarray):
     b, n = z.shape
     if n == 1:
         return np.zeros(b), np.zeros((b, 1))
-    v = np.take_along_axis(z, order, axis=1)
+    # flat indices: np.take and a flat store beat the *_along_axis wrappers
+    flat = order + n * np.arange(b)[:, None]
+    v = np.take(z, flat)
     lse = _logaddexp_scan(v, reverse=True)
     head_w = weights[:, : n - 1]
     terms = head_w * (lse[:, : n - 1] - v[:, : n - 1])
@@ -297,9 +299,9 @@ def _weighted_nll(order: np.ndarray, weights: np.ndarray, z: np.ndarray):
     sel = np.minimum(np.arange(n), n - 2)
     grad_sorted = np.exp(v + prefix[:, sel])
     grad_sorted[:, : n - 1] -= head_w
-    grad = np.empty_like(z)
-    np.put_along_axis(grad, order, grad_sorted, axis=1)
-    return np.array(values), grad
+    grad = np.empty(b * n)
+    grad[flat] = grad_sorted
+    return np.array(values), grad.reshape(b, n)
 
 
 def listmle_loss(gt_perm: Permutation, pred_scores) -> LossResult:

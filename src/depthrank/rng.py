@@ -14,7 +14,11 @@ reproducibility contract and the byte-identity tests rely on.
 Scalar draws and block draws are interchangeable: ``u64_block(n)``
 produces exactly the same values as ``n`` calls to ``next_u64``.  Output
 ``i`` is ``mix(state + i * gamma)``, so blocks split anywhere are the same
-stream.
+stream.  Normals split the same way: ``normals(c)`` takes
+``2 * ceil(c / 2)`` draws and Box-Muller pairs never cross calls, so
+consecutive ``normals(c_1)``, ``normals(c_2)`` ... calls equal the rows of
+one block of ``sum(2 * ceil(c_k / 2))`` draws through one transform, each
+row of odd ``c_k`` less its last value.
 """
 
 from __future__ import annotations
@@ -38,6 +42,21 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
+
+
+def _box_muller(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from raw draws, one per draw: each consecutive
+    pair ``(raw[2i], raw[2i + 1])`` gives the cosine and sine normal of
+    one Box-Muller step.  ``raw`` has even length."""
+    # u1 in (0, 1] so log(u1) is finite.
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TO_DOUBLE
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TO_DOUBLE
+    radius = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(raw.size, dtype=np.float64)
+    out[0::2] = radius * np.cos(theta)
+    out[1::2] = radius * np.sin(theta)
+    return out
 
 
 class SplitMix64:
@@ -71,23 +90,14 @@ class SplitMix64:
         """``count`` standard normals via Box-Muller.
 
         Consumes ``2 * ceil(count / 2)`` integer draws; an odd request
-        discards the second member of the final pair.
+        discards the second member of the final pair.  So consecutive
+        ``normals(c_1)``, ``normals(c_2)`` ... calls equal the rows of one
+        block passed through :func:`_box_muller`: row ``k`` holds
+        ``2 * ceil(c_k / 2)`` draws, and an odd ``c_k`` drops its last value.
         """
         if count < 0:
             raise InvalidInputError(f"count must be >= 0: {count}")
-        pairs = (count + 1) // 2
-        if pairs == 0:
-            return np.empty(0, dtype=np.float64)
-        raw = self.u64_block(2 * pairs)
-        # u1 in (0, 1] so log(u1) is finite.
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TO_DOUBLE
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TO_DOUBLE
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
-        return out[:count]
+        return _box_muller(self.u64_block(2 * ((count + 1) // 2)))[:count]
 
     def below(self, bound: int) -> int:
         """One integer uniform on [0, bound).

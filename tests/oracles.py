@@ -3,6 +3,9 @@
 Everything here is written as naively as possible (explicit tables,
 exhaustive enumeration, exact rational arithmetic) and shares no code
 with the package, so the fast implementations can be checked against it.
+The one exception, ``per_sample_synthetic``, checks only how the dataset
+generator lays out its draws, so it reuses the package's stream and
+hidden scorer.
 """
 
 from fractions import Fraction
@@ -359,3 +362,28 @@ def params_text(header: str, fields) -> str:
     line, then one ``name values`` line per ``(name, array)`` field."""
     lines = [header] + [" ".join([name, *hex_list(values)]) for name, values in fields]
     return "\n".join(lines) + "\n"
+
+
+def per_sample_synthetic(spec):
+    """``data.generate_synthetic`` as it drew before it took a chunk of
+    samples per stream block: ``normals(n * d)`` for each sample's
+    features, then ``normals(n)`` for its noise, one call after another."""
+    from dataclasses import asdict
+
+    from depthrank.core import RankedSample
+    from depthrank.data import DATASET_FORMAT, Dataset, _draw_hidden, _hidden_scorer
+    from depthrank.rng import SplitMix64
+
+    rng = SplitMix64(spec.seed)
+    hidden = _draw_hidden(rng, spec)
+    n, d = spec.items_per_sample, spec.feature_dim
+    hidden_scores = _hidden_scorer(hidden, d)
+    samples = []
+    for idx in range(spec.n_samples):
+        features = rng.normals(n * d).reshape(n, d)
+        raw = hidden_scores(features)
+        if spec.noise_sigma > 0:
+            raw = raw + spec.noise_sigma * rng.normals(n)
+        samples.append(RankedSample(id=f"s{idx:05d}", items=features, gt_scores=raw))
+    meta = {"format": DATASET_FORMAT, "spec": asdict(spec), "hidden": hidden}
+    return Dataset(samples=tuple(samples), meta=meta)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthrank import data
 from depthrank.core import RankedSample, pairs_from_permutation, permutation_from_scores
 from depthrank.data import (
     Dataset,
@@ -20,6 +23,8 @@ from depthrank.data import (
 from depthrank.errors import DatasetFormatError, DatasetVersionError, InvalidInputError
 from depthrank.metrics import whdr
 from depthrank.rng import SplitMix64
+
+import oracles
 
 HUGE = float.fromhex("0x1.fffffffffffffp+1023")
 ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -93,6 +98,61 @@ class TestGenerateSynthetic:
         with pytest.raises(DatasetFormatError) as info:
             hidden_raw_scores({**hidden, field: ["zz"] + hidden[field][1:]}, features)
         assert info.value.line == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_chunked_draws_match_per_sample_draws(self, draw):
+        n, d = draw.draw(st.one_of(
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),     # n = 1, d = 1
+            st.tuples(st.integers(9, 41), st.integers(3, 12)),   # several samples a chunk
+            st.tuples(st.integers(1, 60).map(lambda k: data._CHUNK_DRAWS // 10 + k),
+                      st.just(10)),                              # a sample over the cap
+        ))
+        noise = draw.draw(st.sampled_from([0.0, 0.3]))
+        per_chunk = max(1, data._CHUNK_DRAWS // draws_per_sample(n, d, noise))
+        if per_chunk > 600:
+            count = draw.draw(st.integers(1, 8))
+        else:
+            count = draw.draw(st.sampled_from([max(1, per_chunk - 1), per_chunk + 1,
+                                               2 * per_chunk + 1])
+                              | st.integers(1, 2 * per_chunk + 1))
+        spec = small_spec(n_samples=count, items_per_sample=n, feature_dim=d,
+                          noise_sigma=noise, scorer_family=draw.draw(st.sampled_from(
+                              ["linear", "mlp"])),
+                          seed=draw.draw(st.integers(0, 2**64 - 1)))
+        got, drawn, scored = counted(generate_synthetic, spec)
+        want, want_drawn, _ = counted(oracles.per_sample_synthetic, spec)
+        assert got.meta == want.meta and len(got) == len(want) == count
+        for a, b in zip(got.samples, want.samples):
+            assert a.id == b.id and a.items.shape == b.items.shape
+            assert a.items.tobytes() == b.items.tobytes()
+            assert a.gt_scores.tobytes() == b.gt_scores.tobytes()
+        assert drawn == want_drawn
+        assert scored == count  # the hidden scorer runs once per sample
+
+
+def draws_per_sample(n, d, noise_sigma):
+    """The u64 draws of one sample: ``normals(n * d)`` and, with noise,
+    ``normals(n)``, each rounded up to whole Box-Muller pairs."""
+    return 2 * ((n * d + 1) // 2) + (2 * ((n + 1) // 2) if noise_sigma > 0 else 0)
+
+
+def counted(make, spec):
+    """``make(spec)``, the u64 values it drew and its hidden-scorer calls."""
+    drawn, scored = [], []
+    block, scorer = SplitMix64.u64_block, data._hidden_scorer
+
+    def counting_block(self, count):
+        drawn.append(count)
+        return block(self, count)
+
+    def counting_scorer(hidden, dim):
+        score = scorer(hidden, dim)
+        return lambda features: scored.append(1) or score(features)
+
+    with mock.patch.object(SplitMix64, "u64_block", counting_block), \
+            mock.patch.object(data, "_hidden_scorer", counting_scorer):
+        return make(spec), sum(drawn), len(scored)
 
 
 class TestNormalizeRelevance:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from depthrank.core import RankedSample
 from depthrank.data import sample_points
 from depthrank.errors import InvalidInputError
-from depthrank.rng import SplitMix64
+from depthrank.rng import SplitMix64, _box_muller
 
 import oracles
 
@@ -60,6 +60,18 @@ def test_normals_moments():
 def test_normals_odd_count():
     assert SplitMix64(5).normals(7).shape == (7,)
     assert SplitMix64(5).normals(0).shape == (0,)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 40), min_size=1, max_size=8))
+def test_consecutive_normals_are_the_rows_of_one_block(seed, counts):
+    rng, block = SplitMix64(seed), SplitMix64(seed)
+    rows = [2 * ((c + 1) // 2) for c in counts]
+    values = _box_muller(block.u64_block(sum(rows)))
+    start = 0
+    for count, row in zip(counts, rows):
+        assert rng.normals(count).tobytes() == values[start : start + count].tobytes()
+        start += row
+    assert rng.next_u64() == block.next_u64()
 
 
 def test_below_bounds():
