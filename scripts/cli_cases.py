@@ -8,12 +8,15 @@ case, ``OUT/<case>/`` receives ``stdout.txt``, ``stderr.txt``,
 trees show any change in CLI output with ``diff -r``.
 
 Cases: synthetic datasets (linear, MLP, an eval set, one of 6000 items,
-one of more samples than the trainer's trace eval scores, one of more
-samples than the generator draws in one stream block) and a
-hand-written ragged dataset with tied ground truth; every loss x scorer
-on both training sets, on whole samples and on ``--points 9 --pairs 11``
-draws; every loss on batches of 64 (a 105-sample set, on whole samples
-and on ``--points 3 --pairs 11`` draws) and pairwise on one ragged batch;
+one of more samples than the trainer's trace eval scores, two of more
+samples than the generator draws in one stream block, MLP with noise and
+linear without) and a hand-written ragged dataset with tied ground truth;
+every loss x scorer on both training sets, on whole samples and on
+``--points 9 --pairs 11`` draws; every loss on batches of 64 (a 105-sample
+set, on whole samples and on ``--points 3 --pairs 11`` draws), pairwise on
+one ragged batch, and weighted ListMLE and ListNet on the noiseless
+600-sample set, whose batches are large enough for the extended-precision
+row sums;
 ``--eval-data``; the human format; ``--lr 1e308`` divergence per
 loss; eval at several tie thresholds, ``--compare`` and a dimension
 mismatch; gradcheck.  Hand-written files test the readers: a dataset and
@@ -171,6 +174,10 @@ def cases() -> list[tuple[str, list[str]]]:
         ("gen-chunked", ["gen-data", "--n-samples", "600", "--items", "7", "--dim", "3",
                          "--noise", "0.2", "--family", "mlp", "--seed", "14",
                          "--out", "gen-chunked/data.txt"]),
+        # noiseless and linear, over several stream blocks of the generator
+        ("gen-chunked-linear", ["gen-data", "--n-samples", "600", "--items", "9", "--dim", "3",
+                                "--noise", "0", "--family", "linear", "--seed", "15",
+                                "--out", "gen-chunked-linear/data.txt"]),
     ]
     for data in ("gen-linear", "ragged"):
         for loss in LOSSES:
@@ -207,6 +214,12 @@ def cases() -> list[tuple[str, list[str]]]:
             name = f"train-wide-many-{loss}-{draw}"
             out.append((name, ["train", "--data", "gen-many/data.txt", "--loss", loss, *WIDE,
                                *flags, "--out-params", f"{name}/params.txt"]))
+    # batches of 64 lists of 9 items: the loss kernels' rows are summed in
+    # the extended type, and the last batch of 24 by math.fsum
+    for loss in ("weighted-listmle", "listnet"):
+        name = f"train-chunked-linear-{loss}"
+        out.append((name, ["train", "--data", "gen-chunked-linear/data.txt", "--loss", loss,
+                           *WIDE, "--out-params", f"{name}/params.txt"]))
     for loss in LOSSES:
         name = f"train-diverge-{loss}"
         out.append((name, ["train", "--data", "gen-linear/data.txt", "--loss", loss,

@@ -9,6 +9,8 @@ public contract; item indices are 0-based.  :func:`label_pairs` is the one
 place a score difference becomes an ordinal label (+1, -1 or 0), for the
 ground truth and for predictions alike; a set of labelled pairs is always
 the three equal-length integer arrays ``(i, j, r)`` of :func:`all_pairs`.
+:func:`_exact_row_sums` is the one exact (``math.fsum``) sum of each row
+of an array, which the losses and metrics share.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -17,7 +19,9 @@ functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,6 +44,77 @@ def as_score_vector(values, n: int | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidInputError("scores must be finite (no NaN/Inf)")
     return arr
+
+
+# The extended type a row is first summed in.  Where it is float64 itself
+# (MSVC, macOS on arm64), every row takes the math.fsum path.
+_EXTENDED = np.longdouble
+# Calls of fewer terms than this go to math.fsum: below it the extended
+# path's fixed cost of about 14 us outweighs fsum's ~35 ns a term.  In the
+# (rows, terms per row) shapes measured, the two cost the same at 300 to
+# 600 terms in all: near (32, 19), (8, 99) and (128, 5).  The row count
+# alone does not decide it: (8, 99) gains while (32, 5) loses.
+_CERTIFIED_MIN_TERMS = 512
+# Rows of more than eps_f64 / eps_ext / _LONG_ROW_DIVISOR terms (256 with
+# x86-64's 64-bit longdouble mantissa; none where longdouble is float64)
+# go to math.fsum.  The error bound grows with the row, so longer rows
+# fail their certificate more often and pay for fsum on top: on random
+# positive terms about 3 rows in 100 failed at 19 terms, a third at 256
+# and all at 1000.  A (100, 256) call took half of fsum's time, (32, 512)
+# 0.85 of it and (24, 1000) 1.14 times it.
+_LONG_ROW_DIVISOR = 8
+
+
+def _fsum(row: list[float]) -> float:
+    """``math.fsum(row)``; where its partial sums overflow, the exact sum
+    rounded to nearest, and so ``±inf`` when that sum is out of range."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        pass
+    special = [x for x in row if not math.isfinite(x)]
+    if special:
+        # fsum's own rule for nan and inf terms
+        return math.fsum(special)
+    total = sum(map(Fraction, row))
+    try:
+        return float(total)  # integer true division rounds correctly
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def _exact_row_sums(a: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each row of a (b, m) float64 array,
+    bit for bit ``math.fsum`` of that row (see :func:`_fsum` for rows
+    whose fsum overflows), as a float64 array.
+
+    Each row is summed in :data:`_EXTENDED` and rounded to float64.  Any
+    order of m - 1 additions at unit roundoff ``u = eps_ext / 2`` errs by
+    at most ``(m - 1) u / (1 - (m - 1) u)`` times the sum of ``|a|``, so
+    ``m * eps_ext`` times that sum taken in float64 bounds the error from
+    above, with room for the float64 sum's own rounding.  A row is
+    certified when that bound plus its distance to the rounded result is
+    below half the gap from the result toward zero, the narrower of its
+    two gaps: the exact sum then rounds to the same float64.  Rows that a
+    zero, non-finite or uncertified result leaves open, calls of fewer
+    than :data:`_CERTIFIED_MIN_TERMS` terms and rows too long to certify
+    take :func:`_fsum`.  Comparing rounded operands cannot pass a
+    certificate the exact values fail, as rounding is monotonic.
+    """
+    b, m = a.shape
+    eps = np.finfo(_EXTENDED).eps
+    if b * m < _CERTIFIED_MIN_TERMS or m * eps * _LONG_ROW_DIVISOR > np.finfo(np.float64).eps:
+        return np.array([_fsum(row) for row in a.tolist()], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a.astype(_EXTENDED).sum(axis=1)
+        out = s.astype(np.float64)
+        mag = np.abs(out)
+        gap = mag - np.nextafter(mag, 0.0)
+        err = np.abs(s - out) + np.abs(a).sum(axis=1) * (m * eps)
+        settled = (err + err < gap) & (mag <= np.finfo(np.float64).max) & (out != 0.0)
+    for k in np.flatnonzero(~settled).tolist():
+        out[k] = _fsum(a[k].tolist())
+    return out
 
 
 def label_pairs(scores: np.ndarray, i, j, tie_threshold: float = 0.0) -> np.ndarray:

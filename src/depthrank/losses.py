@@ -32,6 +32,11 @@ the same order, so a row's bits do not depend on which form ran or on
 its neighbours.  (Rewriting the scan with vectorised ``np.exp`` and
 ``np.log1p`` would not keep those bits: numpy's SIMD ``exp`` and
 ``log1p`` round differently from the libm calls inside ``logaddexp``.)
+A ListMLE or ListNet value is the exact sum of its row's terms, rounded
+once: :func:`~depthrank.core._exact_row_sums` returns each row's
+``math.fsum`` bits, from a ``longdouble`` sum wherever an error bound
+proves that it rounds the same way, and from ``math.fsum`` elsewhere.  A
+sum of finite terms that overflows is ``inf``, not an ``OverflowError``.
 ``plackett_luce_log_prob`` is the negated one-row ListMLE value, so the
 Plackett-Luce log likelihood has no pass of its own.  Gradients are
 analytic; the test suite checks every one against central finite
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, as_score_vector
+from .core import Permutation, _exact_row_sums, as_score_vector
 from .errors import InvalidInputError
 
 GAIN_IDENTITY_ONE = "identity-one"
@@ -223,8 +228,7 @@ def _listnet(y: np.ndarray, z: np.ndarray):
     # trained outputs are pinned to math.log's rounding
     log_sums = [[math.log(s)] for s in np.exp(z - m).sum(axis=1).tolist()]
     log_p_z = z - (m + np.array(log_sums))
-    values = [-math.fsum(row) for row in (p_y * log_p_z).tolist()]
-    return np.array(values), np.exp(log_p_z) - p_y
+    return -_exact_row_sums(p_y * log_p_z), np.exp(log_p_z) - p_y
 
 
 def listnet_loss(gt_scores, pred_scores) -> LossResult:
@@ -277,7 +281,8 @@ def _weighted_nll(order: np.ndarray, weights: np.ndarray, z: np.ndarray):
 
     ``weights[:, i]`` scales the rank-(i+1) term; the final position's term
     is identically zero and its weight is ignored.  Each row's terms are
-    accumulated in ascending rank order with exact (fsum) summation.
+    summed exactly, by :func:`~depthrank.core._exact_row_sums`: the
+    ``math.fsum`` bits, and ``inf`` where the exact sum overflows.
     """
     b, n = z.shape
     if n == 1:
@@ -287,8 +292,9 @@ def _weighted_nll(order: np.ndarray, weights: np.ndarray, z: np.ndarray):
     v = np.take(z, flat)
     lse = _logaddexp_scan(v, reverse=True)
     head_w = weights[:, : n - 1]
-    terms = head_w * (lse[:, : n - 1] - v[:, : n - 1])
-    values = list(map(math.fsum, terms.tolist()))
+    # a term that overflows makes the value inf, as a sum that overflows does
+    with np.errstate(over="ignore"):
+        values = _exact_row_sums(head_w * (lse[:, : n - 1] - v[:, : n - 1]))
     # d/dz_k = sum_{i <= min(rank(k), n-1)} w_i * softmax_within_suffix_i(k)
     #          - w_{rank(k)} [rank(k) <= n-1].
     # The inner sum is exp(z_k + L_r) with L_r a prefix logsumexp of
@@ -301,7 +307,7 @@ def _weighted_nll(order: np.ndarray, weights: np.ndarray, z: np.ndarray):
     grad_sorted[:, : n - 1] -= head_w
     grad = np.empty(b * n)
     grad[flat] = grad_sorted
-    return np.array(values), grad.reshape(b, n)
+    return values, grad.reshape(b, n)
 
 
 def listmle_loss(gt_perm: Permutation, pred_scores) -> LossResult:

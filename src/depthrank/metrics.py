@@ -32,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Permutation, RankedSample, as_score_vector, check_pairs, label_pairs
+from .core import (Permutation, RankedSample, _exact_row_sums, as_score_vector, check_pairs,
+                   label_pairs)
 from .data import _relevance_rows
 from .errors import InvalidInputError
 from .losses import _discounts, _gains
@@ -126,7 +127,7 @@ def average_precision(binary_labels) -> float:
     prec = cum / np.arange(1, labels.size + 1)
     rec = cum / n_pos
     rec_prev = np.concatenate(([0.0], rec[:-1]))
-    return math.fsum((prec * (rec - rec_prev)).tolist())
+    return float(_exact_row_sums((prec * (rec - rec_prev))[None])[0])
 
 
 def _sample_map(gt_perm: Permutation, pred_scores: np.ndarray) -> float:
@@ -167,17 +168,19 @@ def ndcg(gt_scores, pred_scores) -> float:
     """
     s = as_score_vector(gt_scores)
     z = as_score_vector(pred_scores, n=s.size)
-    return _ndcg_rows(s[None], z[None])[0]
+    return float(_ndcg_rows(s[None], z[None])[0])
 
 
-def _ndcg_rows(rel: np.ndarray, z: np.ndarray) -> list[float]:
+def _ndcg_rows(rel: np.ndarray, z: np.ndarray) -> np.ndarray:
     """:func:`ndcg` of each row of (g, n) relevance and prediction arrays."""
     gains = _gains(rel)
     disc = _discounts(rel.shape[1])
-    dcg = np.take_along_axis(gains, _descending(z)[0], axis=1) * disc
-    ideal = np.sort(gains, axis=1)[:, ::-1] * disc
-    return [1.0 if top == 0.0 else min(math.fsum(d) / math.fsum(i), 1.0)
-            for d, i, top in zip(dcg.tolist(), ideal.tolist(), gains.max(axis=1).tolist())]
+    dcg = _exact_row_sums(np.take_along_axis(gains, _descending(z)[0], axis=1) * disc)
+    ideal = _exact_row_sums(np.sort(gains, axis=1)[:, ::-1] * disc)
+    some = gains.max(axis=1) > 0.0
+    out = np.ones(len(rel))  # a row with no gain is defined as 1
+    out[some] = np.minimum(dcg[some] / ideal[some], 1.0)
+    return out
 
 
 def evaluate(

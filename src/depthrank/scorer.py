@@ -192,23 +192,40 @@ def params_to_vector(params: ScorerParams) -> np.ndarray:
     return np.concatenate([np.ravel(getattr(params, name)) for name, _ in _layout(type(params))])
 
 
-def _shapes(cls, sizes: dict) -> list[tuple[str, tuple[int, ...]]]:
-    return [(name, tuple(sizes[axis] for axis in axes)) for name, axes in _layout(cls)]
+@functools.lru_cache(maxsize=64)  # one entry per family and sizes in use
+def _shapes(cls, sizes: tuple[tuple[str, int], ...]) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(field name, shape) of a scorer family at ``sizes``, its (axis, n) items."""
+    sizes = dict(sizes)
+    return tuple((name, tuple(sizes[axis] for axis in axes)) for name, axes in _layout(cls))
 
 
 def vector_to_params(vec: np.ndarray, template: ScorerParams) -> ScorerParams:
-    """A scorer of the template's family and sizes holding ``vec``."""
-    shapes = _shapes(type(template), template.sizes)
+    """A scorer of the template's family and sizes holding ``vec``.
+
+    The flat vector is checked once, for its size and for finite values,
+    and copied once into a read-only array; each field is a view of that
+    copy (scalars are floats).  The template's layout and sizes passed the
+    constructor check already, so no per-field check runs again: this is
+    the call each SGD step makes.
+    """
+    cls = type(template)
+    shapes = _shapes(cls, tuple(template.sizes.items()))
     count = sum(math.prod(shape) for _, shape in shapes)
-    vec = np.asarray(vec, dtype=np.float64)
+    vec = np.array(np.ravel(vec), dtype=np.float64)  # owns its data: views stay read-only
     if vec.size != count:
         raise InvalidInputError(f"expected {count} parameters, got {vec.size}")
-    values, start = {}, 0
+    if not np.isfinite(vec).all():
+        raise InvalidInputError(f"{template.family} scorer parameters must be finite")
+    vec.flags.writeable = False
+    params = object.__new__(cls)
+    start = 0
     for name, shape in shapes:
         stop = start + math.prod(shape)
-        values[name] = vec[start:stop].reshape(shape)
+        value = vec[start:stop].reshape(shape)
+        object.__setattr__(params, name, value if shape else float(value))
         start = stop
-    return type(template)(**values)
+    object.__setattr__(params, "sizes", dict(template.sizes))
+    return params
 
 
 def write_params(params: ScorerParams, path) -> None:
@@ -254,7 +271,7 @@ def read_params(path) -> ScorerParams:
     """Parse a params file; a malformed one raises :class:`DatasetFormatError`
     at its line."""
     lines, (cls, sizes) = _read_text(path, PARAMS_FORMAT, _params_header)
-    shapes = _shapes(cls, sizes)
+    shapes = _shapes(cls, tuple(sizes.items()))
     values = {
         name: _read_record(lines, line_no, name, shape)
         for line_no, (name, shape) in enumerate(shapes, start=2)

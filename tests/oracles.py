@@ -336,6 +336,33 @@ def one_list_weighted_nll(order, weights, z):
     return value, grad
 
 
+# Halfway between the largest float and 2^1024: exact sums from here up
+# round to infinity.
+ROUNDS_TO_INF = Fraction(2**1024 - 2**970)
+
+
+def row_fsum(row) -> float:
+    """One row's exact sum as ``math.fsum`` returns it.  Where fsum raises
+    ``OverflowError`` (its partial sums left the float range): with a nan
+    or inf term, fsum of those terms alone; otherwise the exact rational
+    sum, rounded to nearest below :data:`ROUNDS_TO_INF` and infinite, with
+    its sign, from there up."""
+    row = [float(x) for x in row]
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        pass
+    special = [x for x in row if x != x or x in (math.inf, -math.inf)]
+    if special:
+        return math.fsum(special)
+    total = Fraction(0)
+    for x in row:
+        total += Fraction(x)
+    if abs(total) >= ROUNDS_TO_INF:
+        return math.inf if total > 0 else -math.inf
+    return total.numerator / total.denominator
+
+
 def hex_list(values) -> list[str]:
     """``float.hex`` of each value: the package's former per-float encoder."""
     return [float(x).hex() for x in np.ravel(values)]

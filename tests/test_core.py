@@ -1,11 +1,16 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthrank import core
 from depthrank.core import (
     Permutation,
     RankedSample,
+    _exact_row_sums,
     all_pairs,
     check_pairs,
     label_pairs,
@@ -301,3 +306,121 @@ def test_pair_arrays_rejects_empty():
     for pairs in ([], (empty, empty, empty)):
         with pytest.raises(InvalidInputError):
             check_pairs(pairs, 2)
+
+
+HUGE = float.fromhex("0x1.fffffffffffffp+1023")
+# Terms dropped into random places: signed zeros, subnormals, the edges of
+# the float range, a term and its halfway-to-the-next-float partner, and
+# the non-finite values.
+SPECIAL_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                 HUGE, -HUGE, 1.0, 2.0**-53, -(2.0**-53), 2.0**-106, math.inf, -math.inf,
+                 math.nan]
+
+
+def stress_rows(seed: int, kind: str, b: int, m: int) -> np.ndarray:
+    """(b, m) terms of one kind, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], size=(b, m))
+    if kind == "wide":  # magnitudes over 2^-60 .. 2^60
+        return sign * rng.random((b, m)) * np.exp2(rng.integers(-60, 61, size=(b, m)))
+    if kind == "positive":  # the loss kernels' terms: no cancellation
+        return rng.random((b, m)) * 20.0
+    if kind == "cancel":  # each term meets its negation, plus a few tiny terms
+        half = sign[:, : (m + 1) // 2] * rng.random((b, (m + 1) // 2)) * 1e16
+        a = np.concatenate([half, -half], axis=1)[:, :m]
+        a[:, rng.random(m) < 0.1] *= 1e-20
+        return rng.permuted(a, axis=1)
+    if kind == "halfway":  # x + ulp(x) / 2 in one or two terms: a tie, rounded to even
+        a = np.zeros((b, m))
+        a[:, 0] = 1.0 + rng.integers(0, 2**52, size=b) * 2.0**-52
+        if m == 2:
+            a[:, 1] = 2.0**-53
+        elif m > 2:
+            a[:, 1:3] = 2.0**-54
+        return rng.permuted(a, axis=1)
+    if kind == "subnormal":
+        return rng.integers(-2**20, 2**20, size=(b, m)) * 5e-324
+    # "huge": sums that overflow part-way or in the result
+    return sign * (1.0 + rng.random((b, m))) * 2.0**1022
+
+
+@st.composite
+def row_arrays(draw):
+    m = draw(st.one_of(st.integers(1, 40), st.integers(41, 300), st.integers(300, 5000)))
+    # up to about 2048 terms a call, at least one row; both paths are reached
+    b = draw(st.integers(1, max(1, 2048 // m)))
+    kind = draw(st.sampled_from(["wide", "positive", "cancel", "halfway", "subnormal", "huge"]))
+    a = stress_rows(draw(st.integers(0, 2**32 - 1)), kind, b, m)
+    for at, term in draw(st.lists(st.tuples(st.integers(0, b * m - 1),
+                                            st.sampled_from(SPECIAL_TERMS)), max_size=4)):
+        a.flat[at] = term
+    return a
+
+
+def same_bits(x: float, y: float) -> bool:
+    """Equal floats, the sign of zero included; any nan matches any nan."""
+    return (math.isnan(x) and math.isnan(y)) or x.hex() == y.hex()
+
+
+class TestExactRowSums:
+    """``_exact_row_sums`` has the bits of ``math.fsum`` on each row (see
+    ``oracles.row_fsum`` for rows whose fsum overflows)."""
+
+    def check(self, a) -> bool:
+        """Compare with the oracle; False where a row's inf - inf raised."""
+        try:
+            expected = [oracles.row_fsum(row) for row in a.tolist()]
+        except ValueError:
+            with pytest.raises(ValueError):
+                _exact_row_sums(a)
+            return False
+        got = _exact_row_sums(a)
+        assert got.dtype == np.float64 and got.shape == (a.shape[0],)
+        for row, (x, y) in enumerate(zip(got.tolist(), expected)):
+            assert same_bits(x, y), (row, a[row].tolist(), x, y)
+        return True
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_arrays())
+    def test_matches_fsum(self, a):
+        self.check(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(row_arrays())
+    def test_matches_fsum_with_float64_as_extended_type(self, a):
+        # longdouble is float64 on some platforms: every row takes fsum
+        fsum_rows = mock.Mock(wraps=core._fsum)
+        with mock.patch.object(core, "_EXTENDED", np.float64), \
+                mock.patch.object(core, "_fsum", fsum_rows):
+            summed = self.check(a)
+        assert fsum_rows.call_count == a.shape[0] or not summed
+
+    def test_overflow_in_between_and_in_the_result(self):
+        # math.fsum raises OverflowError on each of these rows
+        a = np.array([[1e308, 1e308, -1e308, 0.0], [1e308, 1e308, 0.0, 0.0],
+                      [-1e308, -1e308, 0.0, 0.0], [1e308, 1e308, -1e308, -1e308],
+                      [1e308, 1e308, math.nan, 0.0]])
+        got = _exact_row_sums(a).tolist()
+        assert got[:4] == [1e308, math.inf, -math.inf, 0.0] and math.isnan(got[4])
+
+    def test_halfway_sums_round_to_even(self):
+        # 1 + 2^-53 lies halfway between 1 and its successor: fsum rounds it
+        # to 1; one more term of 2^-106 tips it up.  Enough rows of them for
+        # the extended path.
+        rows = np.zeros((200, 3))
+        rows[:, 0], rows[:, 1] = 1.0, 2.0**-53
+        rows[1::2, 2] = 2.0**-106
+        got = _exact_row_sums(rows)
+        assert got[::2].tolist() == [1.0] * 100
+        assert got[1::2].tolist() == [1.0 + 2.0**-52] * 100
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                        reason="longdouble is float64 here")
+    def test_most_rows_are_certified(self):
+        # the loss kernel's shape: 100 rows of 19 positive terms
+        a = np.random.default_rng(5).random((100, 19)) * 20.0
+        fsum_rows = mock.Mock(wraps=core._fsum)
+        with mock.patch.object(core, "_fsum", fsum_rows):
+            got = _exact_row_sums(a)
+        assert got.tolist() == [math.fsum(row) for row in a.tolist()]
+        assert fsum_rows.call_count <= 10

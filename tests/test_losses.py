@@ -186,7 +186,9 @@ class TestKernelRowsMatchOneListKernels:
             assert grads[row].tobytes() == grad.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32), b=st.integers(1, 7), n=st.integers(1, 12))
+    # 100 rows: enough terms for the extended-precision row sums
+    @given(seed=st.integers(0, 2**32), b=st.one_of(st.integers(1, 7), st.just(100)),
+           n=st.integers(1, 12))
     def test_listnet(self, seed, b, n):
         _, z, gt = kernel_rows(seed, b, n)
         values, grads = _listnet(gt, z)
@@ -510,6 +512,16 @@ class TestListMLE:
             fd = oracles.fd_gradient(lambda z: listmle_loss(perm, z).value, pred)
             err = np.abs(res.grad - fd) / np.maximum(1.0, np.abs(res.grad))
             assert err.max() < 1e-5
+
+    def test_finite_scores_whose_sum_overflows_give_inf(self):
+        # each term is 1e308; math.fsum raised OverflowError on their sum
+        perm, scores = Permutation([1, 2, 0]), [0.0, -1e308, -1e308]
+        res = listmle_loss(perm, scores)
+        assert res.value == math.inf
+        assert res.grad.tolist() == [2.0, -1.0, -1.0]
+        assert plackett_luce_log_prob(perm, scores) == -math.inf
+        # as the weighted loss gives when one weighted term overflows
+        assert weighted_listmle_loss(perm, [0.0, 4.0, 2.0], scores).value == math.inf
 
     def test_descending_assignment_is_optimal(self):
         # over all n! assignments of a score multiset, the one sorted

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from depthrank.errors import DatasetFormatError
-from depthrank.scorer import LinearScorer, MlpScorer, params_to_vector, read_params, vector_to_params
+from depthrank.errors import DatasetFormatError, InvalidInputError
+from depthrank.rng import SplitMix64
+from depthrank.scorer import (SCORER_LINEAR, SCORER_MLP, LinearScorer, MlpScorer,
+                              params_to_vector, random_params, read_params, vector_to_params)
 
 LINEAR = "depthrank.params.v1 family=linear dim=2"
 W = "w 0x1.0000000000000p+0 -0x1.0000000000000p+1"
@@ -93,3 +95,48 @@ def test_scorer_copies_the_callers_arrays():
     rebuilt = vector_to_params(vec, params)
     vec[:] = 0.0
     assert rebuilt.w.tolist() == [1.0, 2.0] and rebuilt.b == 0.5
+
+
+def mlp_template():
+    return random_params(SCORER_MLP, 3, 4, SplitMix64(2))
+
+
+@pytest.mark.parametrize("size", [0, 4, 6])
+def test_vector_to_params_rejects_a_wrong_size(size):
+    template = LinearScorer(w=np.zeros(4), b=0.0)
+    with pytest.raises(InvalidInputError, match=f"expected 5 parameters, got {size}"):
+        vector_to_params(np.zeros(size), template)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vector_to_params_rejects_a_non_finite_value(bad):
+    template = mlp_template()
+    vec = params_to_vector(template)
+    vec[7] = bad
+    with pytest.raises(InvalidInputError, match="mlp scorer parameters must be finite"):
+        vector_to_params(vec, template)
+
+
+def test_vector_to_params_fields_are_read_only_and_detached():
+    template = mlp_template()
+    vec = params_to_vector(template) + 1.0
+    params = vector_to_params(vec, template)
+    assert type(params) is MlpScorer and params.sizes == {"dim": 3, "hidden": 4}
+    for name in ("w_hidden", "b_hidden", "w_out"):
+        value = getattr(params, name)
+        assert value.dtype == np.float64 and not value.flags.writeable
+        assert value.shape == getattr(template, name).shape
+        with pytest.raises(ValueError):
+            value.flags.writeable = True
+    assert type(params.b_out) is float
+    kept = params_to_vector(params).tobytes()
+    vec[:] = 0.0
+    assert params_to_vector(params).tobytes() == kept
+
+
+@pytest.mark.parametrize("family", [SCORER_LINEAR, SCORER_MLP])
+def test_vector_round_trip_is_bit_exact(family):
+    template = random_params(family, 5, 3, SplitMix64(4))
+    vec = SplitMix64(5).normals(params_to_vector(template).size) * 1e300
+    vec[0], vec[-1] = -0.0, 5e-324
+    assert params_to_vector(vector_to_params(vec, template)).tobytes() == vec.tobytes()
