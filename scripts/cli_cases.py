@@ -17,13 +17,15 @@ set, on whole samples and on ``--points 3 --pairs 11`` draws), pairwise on
 one ragged batch, and weighted ListMLE and ListNet on the noiseless
 600-sample set, whose batches are large enough for the extended-precision
 row sums;
-``--eval-data``; the human format; ``--lr 1e308`` divergence per
+``--eval-data``; the human format; ``gen-data`` whose ``--noise`` makes
+scores overflow; ``--lr 1e308`` divergence per
 loss; eval at several tie thresholds, ``--compare`` and a dimension
 mismatch; gradcheck.  Hand-written files test the readers: a dataset and
 a params file whose floats are valid but not written the way
 ``float.hex`` writes them, a dataset with ``\r\n`` line endings, and
 datasets and a params file that are malformed on a known line (a bad or
-overflowing float token, a non-finite feature, a signed count).  Two more
+overflowing float token, a non-finite feature or score, a signed count, a
+record of zero items, a sample id used twice).  Two more
 hand-written datasets are valid: one whose ground-truth span overflows
 (``eval`` and a weighted-ListMLE ``train``), and one whose ground truth and
 predictions tie often (``eval``).
@@ -143,6 +145,10 @@ def hand_written_files(root: Path) -> None:
         "overflow/params.txt": "depthrank.params.v1 family=linear dim=3\n"
                                "w 0x1p0 0x1p5000 0x1p0\nb 0x0p0\n",
         "non-finite/data.txt": malformed(1, with_token(1, 6, "inf")),
+        # record 4's last token is a score
+        "non-finite-score/data.txt": malformed(4, with_token(4, -1, "nan")),
+        "zero-items/data.txt": malformed(2, f"h2 0 {dim}"),
+        "duplicate-id/data.txt": malformed(4, exact_records[4].replace("h4", "h1", 1)),
         "plus-count/data.txt": malformed(2, with_token(2, 1, "+" + str(samples[2][1]))),
         "huge-span/data.txt": malformed(0, " ".join(huge)),
         "ties/data.txt": tied_dataset(),
@@ -174,6 +180,9 @@ def cases() -> list[tuple[str, list[str]]]:
         ("gen-chunked", ["gen-data", "--n-samples", "600", "--items", "7", "--dim", "3",
                          "--noise", "0.2", "--family", "mlp", "--seed", "14",
                          "--out", "gen-chunked/data.txt"]),
+        # noise that makes a sample's scores overflow: one error line, no file
+        ("gen-overflow", ["gen-data", "--n-samples", "40", "--items", "3", "--dim", "2",
+                          "--noise", "1e308", "--seed", "42", "--out", "gen-overflow/data.txt"]),
         # noiseless and linear, over several stream blocks of the generator
         ("gen-chunked-linear", ["gen-data", "--n-samples", "600", "--items", "9", "--dim", "3",
                                 "--noise", "0", "--family", "linear", "--seed", "15",
@@ -252,6 +261,12 @@ def cases() -> list[tuple[str, list[str]]]:
                              "--data", "non-finite/data.txt"]),
         ("eval-plus-count", ["eval", "--params", "loose/params.txt",
                              "--data", "plus-count/data.txt"]),
+        ("eval-non-finite-score", ["eval", "--params", "loose/params.txt",
+                                   "--data", "non-finite-score/data.txt"]),
+        ("eval-zero-items", ["eval", "--params", "loose/params.txt",
+                             "--data", "zero-items/data.txt"]),
+        ("eval-duplicate-id", ["eval", "--params", "loose/params.txt",
+                               "--data", "duplicate-id/data.txt"]),
         ("eval-ties", ["eval", "--params", "ties/params.txt", "--data", "ties/data.txt"]),
         ("eval-huge-span", ["eval", "--params", "loose/params.txt",
                             "--data", "huge-span/data.txt"]),

@@ -12,6 +12,13 @@ the three equal-length integer arrays ``(i, j, r)`` of :func:`all_pairs`.
 :func:`_exact_row_sums` is the one exact (``math.fsum``) sum of each row
 of an array, which the losses and metrics share.
 
+Each input is validated once, by the code that first sees it: the public
+constructors (``RankedSample(...)``, ``Permutation(...)``,
+``data.Dataset(...)``), the file readers, the synthetic generator (one
+check per block of samples) and :func:`~depthrank.metrics.evaluate` (one
+check per group of same-length predictions).  Samples the package builds
+itself go through ``RankedSample._checked`` and are not checked again.
+
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
@@ -28,6 +35,13 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+# What a sample's checks reject, worded once for the constructors and the
+# dataset reader.
+_ITEMS_SHAPE_ERROR = "items must be a non-empty (n, d) matrix, got shape {}"
+_ITEMS_FINITE_ERROR = "item features must be finite"
+_SCORES_FINITE_ERROR = "scores must be finite (no NaN/Inf)"
+
+
 def as_score_vector(values, n: int | None = None) -> np.ndarray:
     """Validate and return scores as a finite float64 1-D array.
 
@@ -42,7 +56,7 @@ def as_score_vector(values, n: int | None = None) -> np.ndarray:
     if n is not None and arr.size != n:
         raise InvalidInputError(f"expected {n} scores, got {arr.size}")
     if not np.isfinite(arr).all():
-        raise InvalidInputError("scores must be finite (no NaN/Inf)")
+        raise InvalidInputError(_SCORES_FINITE_ERROR)
     return arr
 
 
@@ -192,7 +206,14 @@ class Permutation:
 
 @dataclass(frozen=True, eq=False)
 class RankedSample:
-    """One query: item feature vectors plus ground-truth relevance scores."""
+    """One query: item feature vectors plus ground-truth relevance scores.
+
+    ``RankedSample(id, items, gt_scores)`` checks its input: a non-empty
+    (n, d) feature matrix of finite values and n finite scores, stored as
+    read-only C-contiguous float64 arrays.  The readers and the generator,
+    which have checked the same values already, build samples through
+    :meth:`_checked` instead.
+    """
 
     id: str
     items: np.ndarray
@@ -201,16 +222,26 @@ class RankedSample:
     def __post_init__(self):
         items = np.ascontiguousarray(self.items, dtype=np.float64)
         if items.ndim != 2 or items.shape[0] < 1 or items.shape[1] < 1:
-            raise InvalidInputError(
-                f"items must be a non-empty (n, d) matrix, got shape {items.shape}"
-            )
+            raise InvalidInputError(_ITEMS_SHAPE_ERROR.format(items.shape))
         if not np.isfinite(items).all():
-            raise InvalidInputError("item features must be finite")
+            raise InvalidInputError(_ITEMS_FINITE_ERROR)
         scores = as_score_vector(self.gt_scores, n=items.shape[0])
         items.flags.writeable = False
         scores.flags.writeable = False
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "gt_scores", scores)
+
+    @classmethod
+    def _checked(cls, id: str, items: np.ndarray, gt_scores: np.ndarray) -> RankedSample:
+        """A sample of values the caller has checked as the constructor does:
+        a C-contiguous float64 (n, d) matrix, n >= 1 and d >= 1, and n
+        scores in a C-contiguous float64 vector, all finite.  Marks both
+        arrays read-only and checks nothing."""
+        items.flags.writeable = False
+        gt_scores.flags.writeable = False
+        sample = object.__new__(cls)
+        sample.__dict__.update(id=id, items=items, gt_scores=gt_scores)
+        return sample
 
     @functools.cached_property
     def gt_perm(self) -> Permutation:

@@ -27,6 +27,14 @@ empty token ...) is read token by token with ``float.fromhex``, so the
 reader accepts and rejects exactly what ``float.fromhex`` does.  Memory
 stays proportional to one record.  The params files of
 :mod:`depthrank.scorer` use the same codec and the same header reader.
+
+Validation happens once, where the values arrive.  :func:`read_dataset`
+checks each record as it parses it (counts, dims, n >= 1, finite values,
+unique ids) and :func:`generate_synthetic` checks each block of samples
+it draws; both then build samples and the dataset through the private
+constructors ``RankedSample._checked`` and ``Dataset._checked``, which
+check nothing again.  ``RankedSample(...)`` and ``Dataset(...)`` called
+directly keep every check.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import RankedSample, as_score_vector, label_pairs
+from .core import (_ITEMS_FINITE_ERROR, _ITEMS_SHAPE_ERROR, _SCORES_FINITE_ERROR, RankedSample,
+                   as_score_vector, label_pairs)
 from .errors import DatasetFormatError, DatasetVersionError, InvalidInputError
 from .rng import SplitMix64, _box_muller
 
@@ -77,7 +86,11 @@ class SyntheticSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A list of ranked samples plus generator/format metadata."""
+    """A list of ranked samples plus generator/format metadata.
+
+    ``Dataset(samples, meta)`` checks that there is a sample, that the ids
+    are unique and that every sample has the first one's feature_dim.
+    """
 
     samples: tuple[RankedSample, ...]
     meta: dict = field(default_factory=dict)
@@ -97,6 +110,14 @@ class Dataset:
                 raise InvalidInputError(f"duplicate sample id {s.id!r}")
             ids.add(s.id)
         object.__setattr__(self, "samples", samples)
+
+    @classmethod
+    def _checked(cls, samples: tuple[RankedSample, ...], meta: dict) -> Dataset:
+        """A dataset of samples the caller has checked as the constructor
+        does: at least one, unique ids, one feature_dim.  Checks nothing."""
+        ds = object.__new__(cls)
+        ds.__dict__.update(samples=samples, meta=meta)
+        return ds
 
     @property
     def feature_dim(self) -> int:
@@ -321,6 +342,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     noise, ``normals(n)`` label noise; a chunk of samples draws them as the
     rows of one block (see :mod:`depthrank.rng`).  The hidden scorer runs
     once per sample, since a stacked matmul rounds some shapes differently.
+
+    Each chunk's features and (rows, n) scores are checked for finite
+    values once; the samples are built without further checks.  Raises
+    :class:`InvalidInputError` naming ``noise_sigma`` and the first sample
+    whose noisy scores overflow.
     """
     rng = SplitMix64(spec.seed)
     hidden = _draw_hidden(rng, spec)
@@ -333,14 +359,30 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     for start in range(0, spec.n_samples, per_chunk):
         rows = min(per_chunk, spec.n_samples - start)
         draws = _box_muller(rng.u64_block(rows * row)).reshape(rows, row)
-        for idx, values in enumerate(draws, start):
-            features = values[: n * d].reshape(n, d)
-            raw = hidden_scores(features)
-            if spec.noise_sigma > 0:
-                raw = raw + spec.noise_sigma * values[noise_at : noise_at + n]
-            samples.append(RankedSample(id=f"s{idx:05d}", items=features, gt_scores=raw))
+        features = draws[:, : n * d].reshape(rows, n, d)
+        scores = np.array([hidden_scores(x) for x in features])
+        if spec.noise_sigma > 0:
+            with np.errstate(over="ignore"):  # the check below names the sample
+                scores += spec.noise_sigma * draws[:, noise_at : noise_at + n]
+        ids = [f"s{idx:05d}" for idx in range(start, start + rows)]
+        if not (np.isfinite(features).all() and np.isfinite(scores).all()):
+            _raise_non_finite(spec, ids, features, scores)
+        samples += map(RankedSample._checked, ids, features, scores)
     meta = {"format": DATASET_FORMAT, "spec": asdict(spec), "hidden": hidden}
-    return Dataset(samples=tuple(samples), meta=meta)
+    return Dataset._checked(tuple(samples), meta)
+
+
+def _raise_non_finite(spec: SyntheticSpec, ids: list[str], features: np.ndarray,
+                      scores: np.ndarray):
+    """Name the first sample of a chunk with a non-finite value.  Box-Muller
+    draws are finite, so it is a score that label noise made overflow."""
+    bad_items = ~np.isfinite(features).all(axis=(1, 2))
+    k = int(np.argmax(bad_items | ~np.isfinite(scores).all(axis=1)))
+    if bad_items[k]:
+        raise InvalidInputError(f"sample {ids[k]!r}: {_ITEMS_FINITE_ERROR}")
+    raise InvalidInputError(
+        f"noise_sigma {spec.noise_sigma!r} makes the scores of sample {ids[k]!r} overflow"
+    )
 
 
 def normalize_relevance(raw_scores) -> np.ndarray:
@@ -496,7 +538,13 @@ def _dataset_header(fields: dict):
 
 
 def read_dataset(path: str | os.PathLike) -> Dataset:
-    """Parse a dataset file, validating structure, finiteness, and counts."""
+    """Parse a dataset file, validating structure, finiteness, and counts.
+
+    Each record is checked once, in the order of its fields: the ``id n d``
+    prefix, ``d`` against the header, the token count, n >= 1 and d >= 1,
+    finite features, then finite scores, and last an id seen before.  Every
+    fault is a :class:`DatasetFormatError` at the record's line.
+    """
     lines, (dim, count, meta) = _read_text(path, DATASET_FORMAT, _dataset_header, maxsplit=3)
     body = [(no, ln) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
@@ -504,7 +552,10 @@ def read_dataset(path: str | os.PathLike) -> Dataset:
             f"expected {count} sample records, found {len(body)} (truncated or padded file)",
             line=len(lines),
         )
+    if count == 0:
+        raise DatasetFormatError("dataset must contain at least one sample")
     samples = []
+    ids = set()
     for line_no, line in body:
         prefix = line.split(" ", 3)
         if len(prefix) < 3:
@@ -529,13 +580,15 @@ def read_dataset(path: str | os.PathLike) -> Dataset:
             )
         if values is None:
             values = _fromhex_floats(text, line_no) if found > 3 else np.empty(0)
-        feats = values[: n * d].reshape(n, d)
-        scores = values[n * d :]
-        try:
-            samples.append(RankedSample(id=sid, items=feats, gt_scores=scores))
-        except InvalidInputError as exc:
-            raise DatasetFormatError(f"sample {sid!r}: {exc}", line=line_no) from exc
-    try:
-        return Dataset(samples=tuple(samples), meta=meta)
-    except InvalidInputError as exc:
-        raise DatasetFormatError(str(exc)) from exc
+        if n < 1 or d < 1:
+            raise DatasetFormatError(f"sample {sid!r}: {_ITEMS_SHAPE_ERROR.format((n, d))}",
+                                     line=line_no)
+        if not np.isfinite(values).all():
+            finite_items = np.isfinite(values[: n * d]).all()
+            fault = _SCORES_FINITE_ERROR if finite_items else _ITEMS_FINITE_ERROR
+            raise DatasetFormatError(f"sample {sid!r}: {fault}", line=line_no)
+        if sid in ids:
+            raise DatasetFormatError(f"duplicate sample id {sid!r}", line=line_no)
+        ids.add(sid)
+        samples.append(RankedSample._checked(sid, values[: n * d].reshape(n, d), values[n * d :]))
+    return Dataset._checked(tuple(samples), meta)

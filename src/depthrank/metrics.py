@@ -194,21 +194,30 @@ def evaluate(
     labeled from the raw ground-truth scores, equal scores tying); MAP and
     NDCG average per-sample values.  NDCG consumes per-sample min-max
     normalized relevance so raw ground-truth scores of any sign are
-    accepted.  One pass over the groups of :func:`_by_length` stacks each
+    accepted.  One pass over the groups of :func:`_groups` stacks each
     group once and feeds it to the rank kernel and to the relevance, flag
     and NDCG row operations.  Time is O(n log n) and memory O(n) per
     sample at ``pred_tie_threshold == 0``.
+
+    The samples were checked when they were built.  The predictions are
+    checked as :func:`~depthrank.core.as_score_vector` checks one, but
+    once per group (see :func:`_group_predictions`): the first bad
+    prediction in sample order raises the same error.
     """
     threshold = check_tie_threshold(pred_tie_threshold)
     if len(samples) == 0 or len(samples) != len(predictions):
         raise InvalidInputError("need equally many samples and prediction vectors")
     check_evaluable(samples)
-    preds = [as_score_vector(pred, n=sample.n) for sample, pred in zip(samples, predictions)]
+    groups = _groups([s.n for s in samples])
     wrong = pairs = 0
-    maps, ndcgs = np.empty(len(preds)), np.empty(len(preds))
+    maps, ndcgs = np.empty(len(samples)), np.empty(len(samples))
     flags = set()
-    for rows, gt, z in _by_length([s.gt_scores for s in samples], preds):
+    for rows, z in zip(groups, _group_predictions(samples, predictions, groups)):
+        gt = np.array([samples[r].gt_scores for r in rows])
         w, p, maps[rows] = _rank_metrics(gt, z)
+        if threshold > 0.0:
+            # "Within the threshold" is not transitive, so no sort can count it.
+            w = sum(_misordered_within(*row, threshold) for row in zip(gt, z))
         wrong += w
         pairs += p
         rel = _relevance_rows(gt)
@@ -217,9 +226,6 @@ def evaluate(
         if (z.max(axis=1) == z.min(axis=1)).any():
             flags.add(FLAG_DEGENERATE_PRED_TIES)
         ndcgs[rows] = _ndcg_rows(rel, z)
-    if threshold > 0.0:
-        # "Within the threshold" is not transitive, so no sort can count it.
-        wrong = sum(_misordered_within(s.gt_scores, z, threshold) for s, z in zip(samples, preds))
     return MetricReport(
         whdr=wrong / pairs,
         map=math.fsum(maps.tolist()) / len(maps),
@@ -238,24 +244,52 @@ def _same_size(sizes: Sequence[int]) -> list[np.ndarray]:
     return np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1)
 
 
-def _by_length(gt_scores: list[np.ndarray], preds: list[np.ndarray]):
-    """Samples grouped by list length, at most ``max(1, _KERNEL_ITEMS // n)``
-    lists of n items per group: ``(sample indices, (g, n) ground truth,
-    (g, n) predictions)`` per group."""
-    for same in _same_size([g.size for g in gt_scores]):
-        step = max(1, _KERNEL_ITEMS // gt_scores[same[0]].size)
-        for lo in range(0, same.size, step):
-            rows = same[lo:lo + step]
-            yield rows, np.stack([gt_scores[r] for r in rows]), np.stack([preds[r] for r in rows])
+def _groups(sizes: Sequence[int]) -> list[np.ndarray]:
+    """The indices of lists grouped by length, at most
+    ``max(1, _KERNEL_ITEMS // n)`` lists of n items per group."""
+    groups = []
+    for same in _same_size(sizes):
+        step = max(1, _KERNEL_ITEMS // sizes[same[0]])
+        groups += [same[lo:lo + step] for lo in range(0, same.size, step)]
+    return groups
+
+
+def _group_predictions(samples: Sequence[RankedSample], predictions: Sequence,
+                       groups: list[np.ndarray]) -> list[np.ndarray]:
+    """The predictions of each group as one (g, n) float64 array, checked as
+    :func:`~depthrank.core.as_score_vector` checks each one: one conversion
+    and one finiteness test per group.
+
+    A group that fails, or whose stack is not of bool, integer or float
+    dtype, sends every prediction through ``as_score_vector`` in sample
+    order, so the first bad one raises the error it raises alone.
+    """
+    stacked = []
+    for rows in groups:
+        try:
+            z = np.array([predictions[r] for r in rows])
+        except (TypeError, ValueError):  # ragged shapes or dtypes that do not mix
+            break
+        if z.dtype.kind not in "biuf":
+            break
+        z = z.astype(np.float64, copy=False)
+        if z.shape != (rows.size, samples[rows[0]].n) or not np.isfinite(z).all():
+            break
+        stacked.append(z)
+    else:
+        return stacked
+    preds = [as_score_vector(pred, n=s.n) for s, pred in zip(samples, predictions)]
+    return [np.array([preds[r] for r in rows]) for rows in groups]
 
 
 def _rank_metrics_by_length(gt_scores: list[np.ndarray], preds: list[np.ndarray]):
-    """:func:`_rank_metrics` over the groups of :func:`_by_length`: the summed
+    """:func:`_rank_metrics` over the groups of :func:`_groups`: the summed
     misordered and pair counts, and the per-sample MAPs in sample order."""
     wrong = pairs = 0
     maps = np.empty(len(preds))
-    for rows, gt, z in _by_length(gt_scores, preds):
-        w, p, maps[rows] = _rank_metrics(gt, z)
+    for rows in _groups([g.size for g in gt_scores]):
+        gt = np.stack([gt_scores[r] for r in rows])
+        w, p, maps[rows] = _rank_metrics(gt, np.stack([preds[r] for r in rows]))
         wrong += w
         pairs += p
     return wrong, pairs, maps

@@ -67,7 +67,8 @@ class _Scorer:
     Fields become read-only float64 copies (scalars stay floats); every
     field's shape must agree on each named size, which must be >= 1, and
     every value must be finite.  ``sizes`` maps each size the family uses
-    to its value, in SIZES order.
+    to its value, in SIZES order.  Two scorers are equal when they are of
+    one family and sizes and every field holds the same values.
     """
 
     family: str
@@ -89,12 +90,22 @@ class _Scorer:
             raise InvalidInputError(f"{self.family} scorer sizes must be >= 1: {sizes}")
         object.__setattr__(self, "sizes", {axis: sizes[axis] for axis in SIZES if axis in sizes})
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sizes == other.sizes and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name, _ in _layout(type(self))
+        )
+
+    __hash__ = None
+
     @property
     def dim(self) -> int:
         return self.sizes["dim"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearScorer(_Scorer):
     """Scores are ``x . w + b`` per item."""
 
@@ -104,7 +115,7 @@ class LinearScorer(_Scorer):
     family = SCORER_LINEAR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpScorer(_Scorer):
     """One tanh hidden layer: ``tanh(x W_h^T + b_h) . w_o + b_o``."""
 

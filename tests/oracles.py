@@ -3,9 +3,9 @@
 Everything here is written as naively as possible (explicit tables,
 exhaustive enumeration, exact rational arithmetic) and shares no code
 with the package, so the fast implementations can be checked against it.
-The one exception, ``per_sample_synthetic``, checks only how the dataset
-generator lays out its draws, so it reuses the package's stream and
-hidden scorer.
+The one exception, ``per_sample_synthetic`` and its ``per_sample_draws``,
+checks only how the dataset generator lays out its draws, so it reuses
+the package's stream and hidden scorer.
 """
 
 from fractions import Fraction
@@ -391,26 +391,72 @@ def params_text(header: str, fields) -> str:
     return "\n".join(lines) + "\n"
 
 
+def score_vector_fault(values, n):
+    """What the package's check of one score vector rejects in ``values``
+    as the predictions for n items, as ``(exception class name, message)``,
+    or None: a failed float64 conversion, then the shape, the length and
+    finiteness, in that order."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if arr.ndim != 1:
+        message = f"scores must be 1-D, got shape {arr.shape}"
+    elif arr.size < 1:
+        message = "scores must contain at least one entry"
+    elif arr.size != n:
+        message = f"expected {n} scores, got {arr.size}"
+    elif not np.isfinite(arr).all():
+        message = "scores must be finite (no NaN/Inf)"
+    else:
+        return None
+    return "InvalidInputError", message
+
+
+def first_prediction_fault(predictions, sizes):
+    """:func:`score_vector_fault` of the first faulty prediction, each
+    checked on its own in sample order against its sample's size, or None."""
+    for values, n in zip(predictions, sizes):
+        fault = score_vector_fault(values, n)
+        if fault is not None:
+            return fault
+    return None
+
+
 def per_sample_synthetic(spec):
     """``data.generate_synthetic`` as it drew before it took a chunk of
-    samples per stream block: ``normals(n * d)`` for each sample's
-    features, then ``normals(n)`` for its noise, one call after another."""
+    samples per stream block, each sample built by the validating
+    constructors: see :func:`per_sample_draws`."""
     from dataclasses import asdict
 
     from depthrank.core import RankedSample
-    from depthrank.data import DATASET_FORMAT, Dataset, _draw_hidden, _hidden_scorer
+    from depthrank.data import DATASET_FORMAT, Dataset
+
+    hidden, draws = per_sample_draws(spec)
+    samples = [RankedSample(id=sid, items=features, gt_scores=raw)
+               for sid, features, raw in draws]
+    meta = {"format": DATASET_FORMAT, "spec": asdict(spec), "hidden": hidden}
+    return Dataset(samples=tuple(samples), meta=meta)
+
+
+def per_sample_draws(spec):
+    """The hidden scorer and each sample's ``(id, features, scores)``, drawn
+    one call after another: ``normals(n * d)`` for its features, then
+    ``normals(n)`` for its noise.  Scores that the noise makes overflow are
+    left as they come out."""
+    from depthrank.data import _draw_hidden, _hidden_scorer
     from depthrank.rng import SplitMix64
 
     rng = SplitMix64(spec.seed)
     hidden = _draw_hidden(rng, spec)
     n, d = spec.items_per_sample, spec.feature_dim
     hidden_scores = _hidden_scorer(hidden, d)
-    samples = []
+    draws = []
     for idx in range(spec.n_samples):
         features = rng.normals(n * d).reshape(n, d)
         raw = hidden_scores(features)
         if spec.noise_sigma > 0:
-            raw = raw + spec.noise_sigma * rng.normals(n)
-        samples.append(RankedSample(id=f"s{idx:05d}", items=features, gt_scores=raw))
-    meta = {"format": DATASET_FORMAT, "spec": asdict(spec), "hidden": hidden}
-    return Dataset(samples=tuple(samples), meta=meta)
+            with np.errstate(over="ignore"):
+                raw = raw + spec.noise_sigma * rng.normals(n)
+        draws.append((f"s{idx:05d}", features, raw))
+    return hidden, draws

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ class TestGenData:
             "--out", str(tmp_path / "x.txt"),
         )
         assert code == EXIT_USAGE
+
+    def test_overflowing_noise_is_one_usage_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("gen-data", "--n-samples", "30", "--items", "10", "--dim", "2",
+                       "--noise", "1e308", "--seed", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: noise_sigma 1e+308 makes the scores of sample 's00000' overflow\n")
+        assert not out.exists()
 
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         code = run("gen-data", "--n-samples", "2", "--out", str(tmp_path / "x.txt"))

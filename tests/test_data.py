@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -129,6 +130,26 @@ class TestGenerateSynthetic:
             assert a.gt_scores.tobytes() == b.gt_scores.tobytes()
         assert drawn == want_drawn
         assert scored == count  # the hidden scorer runs once per sample
+        # built without checks, yet what the validating constructors build
+        rebuilt = Dataset(tuple(RankedSample(s.id, s.items, s.gt_scores) for s in got.samples),
+                          got.meta)
+        assert rebuilt == got
+        for s in got.samples:
+            for arr in (s.items, s.gt_scores):
+                assert arr.dtype == np.float64 and arr.flags.c_contiguous
+                assert not arr.flags.writeable
+
+    def test_overflowing_noise_names_sigma_and_the_first_sample(self):
+        spec = small_spec(n_samples=40, items_per_sample=3, feature_dim=2, noise_sigma=1e308)
+        first = next(sid for sid, _, raw in oracles.per_sample_draws(spec)[1]
+                     if not np.isfinite(raw).all())
+        assert first != "s00000"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as info:
+                generate_synthetic(spec)
+        assert str(info.value) == (
+            f"noise_sigma 1e+308 makes the scores of sample {first!r} overflow")
 
 
 def draws_per_sample(n, d, noise_sigma):
@@ -383,6 +404,41 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="line 5") as info:
             read_dataset(path)
         assert info.value.line == 5
+
+    @pytest.mark.parametrize("header, records, message", [
+        ("dim=2 samples=2", ["a 1 2 X X X", "b 0 2"],
+         "line 3: sample 'b': items must be a non-empty (n, d) matrix, got shape (0, 2)"),
+        ("dim=0 samples=1", ["a 2 0 X X"],
+         "line 2: sample 'a': items must be a non-empty (n, d) matrix, got shape (2, 0)"),
+        ("dim=2 samples=2", ["a 1 2 X X X", "b 1 2 X nan X"],
+         "line 3: sample 'b': item features must be finite"),
+        ("dim=2 samples=2", ["a 1 2 X X X", "b 1 2 X X -inf"],
+         "line 3: sample 'b': scores must be finite (no NaN/Inf)"),
+        ("dim=2 samples=2", ["a 1 2 X X X", "b 1 2 inf X -inf"],  # features first
+         "line 3: sample 'b': item features must be finite"),
+        ("dim=2 samples=2", ["a 1 2 X X X", "a 0 2"],  # a record's own fault first
+         "line 3: sample 'a': items must be a non-empty (n, d) matrix, got shape (0, 2)"),
+        ("dim=2 samples=0", [], "dataset must contain at least one sample"),
+        ("dim=2 samples=3", ["a 1 2 X X X", "b 1 2 X X X", "a 1 2 X X X"],
+         "line 4: duplicate sample id 'a'"),
+    ])
+    def test_record_faults_give_one_message_at_their_line(self, tmp_path, header, records,
+                                                          message):
+        one = float(1.0).hex()
+        path = tmp_path / "r.txt"
+        path.write_text("\n".join([f"depthrank.dataset.v1 {header} meta={{}}"]
+                                  + [r.replace("X", one) for r in records]) + "\n")
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(path)
+        assert str(info.value) == message
+
+    def test_read_samples_are_read_only_float64(self, tmp_path):
+        path = tmp_path / "d.txt"
+        write_dataset(generate_synthetic(small_spec()), path)
+        for s in read_dataset(path).samples:
+            for arr in (s.items, s.gt_scores):
+                assert arr.dtype == np.float64 and arr.flags.c_contiguous
+                assert not arr.flags.writeable
 
     def test_non_finite_feature_names_the_sample_once(self, tmp_path):
         one = float(1.0).hex()

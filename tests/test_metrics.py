@@ -34,6 +34,23 @@ from depthrank.rng import SplitMix64
 import oracles
 
 
+# Predictions in the forms a caller may pass, the faulty ones included.
+PREDICTION_FORMS = {
+    "array": lambda z: z,
+    "list": lambda z: z.tolist(),
+    "float32": lambda z: z.astype(np.float32),
+    "int": lambda z: np.round(4 * z).astype(np.int64),
+    "numeric text": lambda z: [repr(x) for x in z.tolist()],
+    "nan": lambda z: np.where(np.arange(z.size) == z.size - 1, np.nan, z),
+    "-inf": lambda z: np.concatenate(([-np.inf], z[1:])),
+    "short": lambda z: z[1:],
+    "long": lambda z: np.append(z, 0.0),
+    "2-D": lambda z: z[None],
+    "empty": lambda z: [],
+    "text": lambda z: ["x"] * z.size,
+}
+
+
 def triple(*pairs):
     """(i, j, r) arrays of the given (i, j, r) tuples."""
     return tuple(np.array(col, dtype=np.intp) for col in zip(*pairs))
@@ -298,6 +315,29 @@ class TestEvaluate:
         samples = [sample_from_scores([1.0, 2.0])]
         with pytest.raises(InvalidInputError):
             evaluate(samples, [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([2, 3, 5]), st.sampled_from(list(PREDICTION_FORMS))),
+                    min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1))
+    def test_faulty_predictions_raise_the_first_fault_in_sample_order(self, cases, seed):
+        rng = np.random.default_rng(seed)
+        samples = [sample_from_scores(rng.normal(size=n)) for n, _ in cases]
+        preds = [PREDICTION_FORMS[form](rng.normal(size=n)) for n, form in cases]
+        fault = oracles.first_prediction_fault(preds, [n for n, _ in cases])
+        if fault is None:
+            floats = [np.asarray(p, dtype=np.float64) for p in preds]
+            assert evaluate(samples, preds) == evaluate(samples, floats)
+        else:
+            with pytest.raises(Exception) as info:
+                evaluate(samples, preds)
+            assert (type(info.value).__name__, str(info.value)) == fault
+
+    def test_first_fault_in_sample_order_wins_over_an_earlier_group(self):
+        # the 2-item group is stacked first; the 3-item sample 0 comes first
+        samples = [sample_from_scores([1.0, 2.0, 3.0]), sample_from_scores([1.0, 2.0])]
+        with pytest.raises(InvalidInputError, match="expected 3 scores, got 2"):
+            evaluate(samples, [[1.0, 2.0], [np.nan, 1.0]])
 
     def test_internal_pair_arrays_match_public_op(self):
         from depthrank.core import all_pairs

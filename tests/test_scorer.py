@@ -140,3 +140,26 @@ def test_vector_round_trip_is_bit_exact(family):
     vec = SplitMix64(5).normals(params_to_vector(template).size) * 1e300
     vec[0], vec[-1] = -0.0, 5e-324
     assert params_to_vector(vector_to_params(vec, template)).tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("family", [SCORER_LINEAR, SCORER_MLP])
+def test_scorers_compare_by_family_sizes_and_values(family):
+    a = random_params(family, 3, 4, SplitMix64(1))
+    assert a == random_params(family, 3, 4, SplitMix64(1))
+    assert a == vector_to_params(params_to_vector(a), a)
+    assert a != random_params(family, 3, 4, SplitMix64(2))
+    vec = params_to_vector(a)
+    vec[-1] = np.nextafter(vec[-1], np.inf)  # the scalar bias alone differs
+    assert a != vector_to_params(vec, a)
+    assert a != random_params(family, 4, 4, SplitMix64(1))
+    if family == SCORER_MLP:
+        assert a != random_params(family, 3, 5, SplitMix64(1))
+    assert a != "not a scorer"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+def test_scorers_of_two_families_differ():
+    linear = LinearScorer(w=np.zeros(1), b=0.0)
+    mlp = MlpScorer(w_hidden=np.zeros((1, 1)), b_hidden=np.zeros(1), w_out=np.zeros(1), b_out=0.0)
+    assert linear != mlp and not linear == mlp
