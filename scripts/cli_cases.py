@@ -30,20 +30,32 @@ hand-written datasets are valid: one whose ground-truth span overflows
 (``eval`` and a weighted-ListMLE ``train``), and one whose ground truth and
 predictions tie often (``eval``).
 
+Last, ``OUT/MANIFEST.sha256`` lists the tree: a header line naming the
+Python and numpy versions, then one line per file, sorted by path:
+its path, size in bytes and SHA-256.  ``tests/cli_cases.sha256`` is the
+committed manifest of the current source; a change that alters CLI bytes
+rewrites it.
+
 Usage:
     python scripts/cli_cases.py OUT [--src SRC]
+    diff OUT/MANIFEST.sha256 tests/cli_cases.sha256
     diff -r OUT_A OUT_B
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
+import platform
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+MANIFEST = "MANIFEST.sha256"
 LOSSES = ("pairwise", "listnet", "listmle", "weighted-listmle")
 SCORERS = ("linear", "mlp")
 TRAIN = ("--lr", "0.05", "--epochs", "3", "--batch", "4", "--seed", "7")
@@ -303,7 +315,18 @@ def main() -> int:
         (case / "stderr.txt").write_bytes(proc.stderr)
         (case / "exit.txt").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}")
+    write_manifest(root)
     return 0
+
+
+def write_manifest(root: Path) -> None:
+    """``root/MANIFEST.sha256``: the versions that made the tree, then
+    ``path size sha256`` for each file under ``root``, sorted by path."""
+    lines = [f"# python {platform.python_version()} numpy {np.__version__}"]
+    for path in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        blob = (root / path).read_bytes()
+        lines.append(f"{path} {len(blob)} {hashlib.sha256(blob).hexdigest()}")
+    (root / MANIFEST).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 if __name__ == "__main__":

@@ -158,22 +158,14 @@ def _train_report(args, cfg, ds, eval_ds, params, trace) -> report.ExperimentRep
     del cfg_echo["seed"]
     cfg_echo.update(cfg_echo.pop("weight_config"), data=args.data)
     splits = {}
-    trace_summary = None
     if params is not None:
         splits["train"] = metrics.evaluate(ds.samples, _scores_for(params, ds))
         if eval_ds is None:
             splits["eval"] = splits["train"]
         else:
             splits["eval"] = metrics.evaluate(eval_ds.samples, _scores_for(params, eval_ds))
-    if len(trace) > 0:
-        trace_summary = report.TraceSummary(
-            epochs=len(trace),
-            final_train_loss=trace.train_loss[-1],
-            final_eval_whdr=trace.final_eval_whdr,
-            final_eval_map=trace.final_eval_map,
-        )
     return report.ExperimentReport(
-        kind="train", seed=cfg.seed, config=cfg_echo, metrics=splits, trace=trace_summary
+        kind="train", seed=cfg.seed, config=cfg_echo, metrics=splits, trace=trace
     )
 
 

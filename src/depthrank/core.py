@@ -25,7 +25,6 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,13 +41,24 @@ _ITEMS_FINITE_ERROR = "item features must be finite"
 _SCORES_FINITE_ERROR = "scores must be finite (no NaN/Inf)"
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as C-contiguous float64; complex, text and unconvertible values raise."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biufO":  # numpy drops imaginary parts, parses text
+            raise TypeError(f"got {arr.dtype}")
+        return np.ascontiguousarray(arr, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must be real numbers: {exc}") from exc
+
+
 def as_score_vector(values, n: int | None = None) -> np.ndarray:
     """Validate and return scores as a finite float64 1-D array.
 
-    Raises :class:`InvalidInputError` on empty input, wrong length, or any
-    NaN/Inf entry.
+    Raises :class:`InvalidInputError` on complex, text or other non-real
+    input, empty input, wrong length, or any NaN/Inf entry.
     """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+    arr = _real_array(values, "scores")
     if arr.ndim != 1:
         raise InvalidInputError(f"scores must be 1-D, got shape {arr.shape}")
     if arr.size < 1:
@@ -220,7 +230,7 @@ class RankedSample:
     gt_scores: np.ndarray
 
     def __post_init__(self):
-        items = np.ascontiguousarray(self.items, dtype=np.float64)
+        items = _real_array(self.items, "item features")
         if items.ndim != 2 or items.shape[0] < 1 or items.shape[1] < 1:
             raise InvalidInputError(_ITEMS_SHAPE_ERROR.format(items.shape))
         if not np.isfinite(items).all():
@@ -242,12 +252,6 @@ class RankedSample:
         sample = object.__new__(cls)
         sample.__dict__.update(id=id, items=items, gt_scores=gt_scores)
         return sample
-
-    @functools.cached_property
-    def gt_perm(self) -> Permutation:
-        """The ground-truth ranking: ``gt_scores`` in non-increasing order,
-        ties broken by ascending item index; built on first access."""
-        return permutation_from_scores(self.gt_scores)
 
     @property
     def n(self) -> int:

@@ -86,11 +86,14 @@ def whdr_from_arrays(
     return int(np.count_nonzero(pred != r)), int(r.size)
 
 
-def check_evaluable(samples: Sequence[RankedSample]) -> None:
-    """Reject samples :func:`evaluate` cannot score: WHDR and MAP need two items."""
-    for sample in samples:
-        if sample.n < 2:
+def check_evaluable(samples: Sequence[RankedSample]) -> list[int]:
+    """The list length of each sample; rejects samples :func:`evaluate`
+    cannot score: WHDR and MAP need two items."""
+    sizes = [s.n for s in samples]
+    for sample, n in zip(samples, sizes):
+        if n < 2:
             raise InvalidInputError(f"sample {sample.id!r} has fewer than two items")
+    return sizes
 
 
 def whdr(pairs, pred_scores, pred_tie_threshold: float = 0.0) -> float:
@@ -207,12 +210,12 @@ def evaluate(
     threshold = check_tie_threshold(pred_tie_threshold)
     if len(samples) == 0 or len(samples) != len(predictions):
         raise InvalidInputError("need equally many samples and prediction vectors")
-    check_evaluable(samples)
-    groups = _groups([s.n for s in samples])
+    sizes = check_evaluable(samples)
+    groups = _groups(sizes)
     wrong = pairs = 0
     maps, ndcgs = np.empty(len(samples)), np.empty(len(samples))
     flags = set()
-    for rows, z in zip(groups, _group_predictions(samples, predictions, groups)):
+    for rows, z in zip(groups, _group_predictions(sizes, predictions, groups)):
         gt = np.array([samples[r].gt_scores for r in rows])
         w, p, maps[rows] = _rank_metrics(gt, z)
         if threshold > 0.0:
@@ -254,11 +257,11 @@ def _groups(sizes: Sequence[int]) -> list[np.ndarray]:
     return groups
 
 
-def _group_predictions(samples: Sequence[RankedSample], predictions: Sequence,
+def _group_predictions(sizes: Sequence[int], predictions: Sequence,
                        groups: list[np.ndarray]) -> list[np.ndarray]:
-    """The predictions of each group as one (g, n) float64 array, checked as
-    :func:`~depthrank.core.as_score_vector` checks each one: one conversion
-    and one finiteness test per group.
+    """The predictions of each group as one (g, n) float64 array, n read
+    from ``sizes``, checked as :func:`~depthrank.core.as_score_vector`
+    checks each one: one conversion and one finiteness test per group.
 
     A group that fails, or whose stack is not of bool, integer or float
     dtype, sends every prediction through ``as_score_vector`` in sample
@@ -273,12 +276,12 @@ def _group_predictions(samples: Sequence[RankedSample], predictions: Sequence,
         if z.dtype.kind not in "biuf":
             break
         z = z.astype(np.float64, copy=False)
-        if z.shape != (rows.size, samples[rows[0]].n) or not np.isfinite(z).all():
+        if z.shape != (rows.size, sizes[rows[0]]) or not np.isfinite(z).all():
             break
         stacked.append(z)
     else:
         return stacked
-    preds = [as_score_vector(pred, n=s.n) for s, pred in zip(samples, predictions)]
+    preds = [as_score_vector(pred, n=n) for n, pred in zip(sizes, predictions)]
     return [np.array([preds[r] for r in rows]) for rows in groups]
 
 
@@ -410,7 +413,7 @@ def _rank_metrics(gt: np.ndarray, z: np.ndarray):
     """(misordered pairs at tie threshold 0, index pairs, per-row MAP over
     all cuts) for (g, n) rows of ground-truth and predicted scores.
 
-    Ground-truth ranks break ties by ascending index, as ``gt_perm`` does.
+    Ground-truth ranks break ties by ascending index, as ``permutation_from_scores`` does.
     With p the 1-based predicted position (descending, ascending-index
     tie-break) and g_p the ground-truth rank of the item there, the APs
     summed over all cuts are ``sum_p (1/p) [(A_p + 1) T(g_p) + S_p]``,

@@ -2,32 +2,24 @@
 
 The machine form is one ``key=value`` pair per line in a fixed key order
 (floats via ``repr``, so identical runs serialize byte-identically); the
-human form is the same content as an aligned two-column table.  Neither
-form contains timing, so repeated runs with the same seed produce
-identical bytes.
+human form is the same content as an aligned two-column table.  A train
+report prints the trainer's :class:`~depthrank.trainer.TrainTrace`, all
+but its seconds: neither form contains timing, so repeated runs with the
+same seed produce identical bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import __version__ as BUILD_VERSION
 from .metrics import MetricReport
+from .trainer import TrainTrace
 
 REPORT_FORMAT = "depthrank.report.v1"
-BUILD_VERSION = "0.1.0"
 
 FORMAT_MACHINE = "machine"
 FORMAT_HUMAN = "human"
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    """Final-state digest of a training trace (timing deliberately excluded)."""
-
-    epochs: int
-    final_train_loss: float
-    final_eval_whdr: float
-    final_eval_map: float
 
 
 @dataclass(frozen=True)
@@ -36,7 +28,7 @@ class ExperimentReport:
     seed: int | None
     config: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)  # split name -> MetricReport
-    trace: TraceSummary | None = None
+    trace: TrainTrace | None = None  # an empty trace prints no trace block
 
 
 def _fmt(value) -> str:
@@ -59,9 +51,9 @@ def report_items(report: ExperimentReport) -> list[tuple[str, str]]:
     ]
     for key in sorted(report.config):
         rows.append((f"config.{key}", _fmt(report.config[key])))
-    if report.trace is not None:
-        rows.append(("trace.epochs", _fmt(report.trace.epochs)))
-        rows.append(("trace.final_train_loss", _fmt(report.trace.final_train_loss)))
+    if report.trace:
+        rows.append(("trace.epochs", _fmt(len(report.trace))))
+        rows.append(("trace.final_train_loss", _fmt(report.trace.train_loss[-1])))
         rows.append(("trace.final_eval_whdr", _fmt(report.trace.final_eval_whdr)))
         rows.append(("trace.final_eval_map", _fmt(report.trace.final_eval_map)))
     for split in sorted(report.metrics):

@@ -9,13 +9,13 @@ which :func:`backprop` is the one-sample call).  No autodiff is involved,
 so :func:`gradient_check` (central finite differences over the full
 parameter vector) is the correctness oracle.  A list is one tuple ``(x,
 *kernel args)``, the features it scores and the loss kernel's other
-inputs, and :func:`draw_batch` builds them, a mini-batch or a whole run
-pool at a time: a per-epoch draw from the stream, or the whole sample when
-no stream is given.  It groups the lists by length and stacks each
-column of a group once.  Each sample draws its pairs or points in sample
-order, so every list and the stream state equal those of one
-:func:`draw_target` (its one-sample call) per sample; ranks, relevance
-and weights are one vectorised pass per group.
+inputs.  A batch is always :func:`draw_batch`'s groups: its lists by
+length, each column of a group stacked once.  Each sample draws its pairs
+or points in sample order, so every list and the stream state equal
+those of one :func:`draw_target` (its one-sample call) per sample.  A
+step takes a per-epoch draw's groups as they are; when every list is the
+whole sample, one :class:`_ListPool` of the run's groups gathers each
+batch's.
 
 Training is plain mini-batch SGD with classic momentum, fully
 deterministic given the config seed: sample order, per-epoch point/pair
@@ -24,10 +24,11 @@ subsampling, and MLP initialization all flow from one
 gradient or parameter vector raises :class:`TrainingDivergedError`; a
 non-finite loss or gradient also names the first sample of the batch
 whose own value or gradient is non-finite.
-The trace keeps each epoch's mean loss and seconds.  Its metrics (WHDR
-and MAP on the first :data:`EVAL_SAMPLES` training samples, by the
-row-local rank kernel that ``evaluate`` uses, with its bits) are computed
-once per run, on the params of the last completed epoch.
+The trace keeps each epoch's mean loss and seconds; reports print all but
+the seconds.  Its metrics (WHDR and MAP on the first :data:`EVAL_SAMPLES`
+training samples, by the row-local rank kernel that ``evaluate`` uses,
+with its bits) are computed once per run, on the params of the last
+completed epoch.
 """
 
 from __future__ import annotations
@@ -186,8 +187,7 @@ def draw_batch(samples: Sequence[RankedSample], cfg: TrainConfig,
 
 
 class _ListPool:
-    """Lists in :func:`draw_batch`'s groups of one list length, every column
-    of a group, features included, stacked once."""
+    """A run's lists in :func:`draw_batch`'s groups, each batch's gathered by :meth:`take`."""
 
     def __init__(self, groups: Sequence[tuple[np.ndarray, tuple]]):
         self.stacked = [cols for _, cols in groups]
@@ -198,34 +198,27 @@ class _ListPool:
             self.group_of[members] = g
             self.index_in_group[members] = np.arange(len(members))
 
-    def take(self, batch: np.ndarray):
-        """``(rows, (x, *args))`` per group of the lists ``batch`` (pool
-        positions): their positions in ``batch`` and their stacked list
-        columns, (g, n, d) features first, each with a leading axis of g."""
+    def take(self, batch: np.ndarray) -> list[tuple[np.ndarray, tuple]]:
+        """The lists ``batch`` (pool positions) in :func:`draw_batch`'s
+        groups: ``(rows, (x, *args))`` per group, ``rows`` their positions
+        in ``batch`` and each column gathered over them."""
         group_of = self.group_of[batch]
+        groups = []
         for g in np.unique(group_of).tolist():
             rows = np.flatnonzero(group_of == g)
             idx = self.index_in_group[batch[rows]]
-            cols = self.stacked[g]
-            # A pool of just the batch's lists is taken whole and in order:
-            # its stacked columns serve as they are, with no second copy.
-            if idx.size < len(cols[0]) or (idx[1:] < idx[:-1]).any():
-                cols = tuple(a[idx] for a in cols)
-            yield rows, cols
+            groups.append((rows, tuple(a[idx] for a in self.stacked[g])))
+        return groups
 
 
-def _backprop_rows(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batch: np.ndarray):
-    """Loss value and flat parameter gradient of each list ``batch``
-    (positions in ``pool``): a length-b value array and (b, P) gradient
-    rows, in batch order.
-
-    Each group of the batch makes one forward pass, one loss-kernel call
-    and one Jacobian call.  Kernels are looked up by name at each call, so
-    a wrapper installed on one sees every call.
-    """
-    values = np.empty(batch.size)
-    grads = None
-    for rows, (x, *args) in pool.take(batch):
+def _backprop_rows(params: ScorerParams, cfg: TrainConfig, groups: list[tuple[np.ndarray, tuple]]):
+    """Loss value and flat parameter gradient of each list of ``groups``, in
+    :func:`draw_batch`'s form: a length-b value array and (b, P) gradient
+    rows, in batch order.  Each group makes one forward pass, one
+    loss-kernel call and one Jacobian call, each kernel looked up by name
+    at the call, so a wrapper installed on one sees every call."""
+    values, grads = np.empty(sum(len(rows) for rows, _ in groups)), None
+    for rows, (x, *args) in groups:
         z = score(params, x)
         if cfg.loss == LOSS_PAIRWISE:
             values[rows], dz = _pairwise_batch(z, *args)
@@ -235,20 +228,17 @@ def _backprop_rows(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batc
             values[rows], dz = _weighted_nll(*args, z)
         g = _param_grad_from_scores(params, x, dz)
         if grads is None:
-            grads = np.empty((batch.size, g.shape[1]))
+            grads = np.empty((values.size, g.shape[1]))
         grads[rows] = g
     return values, grads
 
 
-def backprop_batch(params: ScorerParams, cfg: TrainConfig, pool: _ListPool, batch: np.ndarray):
-    """Summed loss value and summed flat parameter gradient of the lists
-    ``batch`` (positions in ``pool``), in batch order.
-
-    The per-list gradients of :func:`_backprop_rows` are reduced in batch
-    order and the loss is the in-order sum of the per-list values, so both
-    are bit-identical to summing one :func:`backprop` per list.
-    """
-    values, grads = _backprop_rows(params, cfg, pool, batch)
+def backprop_batch(params: ScorerParams, cfg: TrainConfig, groups: list[tuple[np.ndarray, tuple]]):
+    """Summed loss value and summed flat parameter gradient of the lists of
+    ``groups``: :func:`_backprop_rows` reduced in batch order, the loss as
+    an in-order sum, so both are bit-identical to summing one
+    :func:`backprop` per list."""
+    values, grads = _backprop_rows(params, cfg, groups)
     total = 0.0
     for value in values.tolist():
         total += value
@@ -261,15 +251,12 @@ def backprop(
     params: ScorerParams, sample: RankedSample, cfg: TrainConfig, target: tuple | None = None
 ):
     """Loss value and flat parameter gradient for one sample: the one-list
-    call of :func:`backprop_batch`.
-
-    ``target`` (a :func:`draw_target` list) fixes the subsample (points or
-    pairs); ``None`` evaluates the deterministic whole-sample list.
-    """
+    call of :func:`backprop_batch`.  ``target`` (a :func:`draw_target` list)
+    fixes the subsample (points or pairs); ``None`` takes the whole sample."""
     if target is None:
-        target = draw_target(sample, cfg)
+        return backprop_batch(params, cfg, draw_batch([sample], cfg))
     one = np.zeros(1, dtype=np.intp)
-    return backprop_batch(params, cfg, _ListPool([(one, tuple(c[None] for c in target))]), one)
+    return backprop_batch(params, cfg, [(one, tuple(c[None] for c in target))])
 
 
 def sgd_step(
@@ -333,16 +320,15 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
     """
     if len(dataset) < 1:
         raise InvalidInputError("dataset must not be empty")
-    check_evaluable(dataset.samples)
+    sizes = check_evaluable(dataset.samples)
     rng = SplitMix64(cfg.seed)
     params = init_params(cfg.scorer, dataset.feature_dim, cfg.hidden_size, rng)
     vec = params_to_vector(params)
     velocity = np.zeros_like(vec)
     m = len(dataset)
     # One pool for the run when every listwise target is the whole sample.
-    pool = None
-    if cfg.loss != LOSS_PAIRWISE and cfg.points_per_sample >= max(s.n for s in dataset.samples):
-        pool = _ListPool(draw_batch(dataset.samples, cfg))
+    whole = cfg.loss != LOSS_PAIRWISE and cfg.points_per_sample >= max(sizes)
+    pool = _ListPool(draw_batch(dataset.samples, cfg)) if whole else None
     eval_ctx = _make_eval_context(dataset.samples[:EVAL_SAMPLES])
     trace = TrainTrace()
     epoch_params = diverged = sample_id = None
@@ -355,13 +341,10 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
                 epoch_loss = 0.0
                 for batch_no, start in enumerate(range(0, m, cfg.batch), start=1):
                     batch = order[start : start + cfg.batch]
-                    step_pool, rows = pool, batch
-                    if pool is None:
-                        # every draw of the batch, in batch order, before any compute
-                        step_pool = _ListPool(draw_batch(
-                            [dataset.samples[k] for k in batch.tolist()], cfg, rng))
-                        rows = np.arange(batch.size)
-                    total_val, grad_sum = backprop_batch(params, cfg, step_pool, rows)
+                    # every draw of the batch, in batch order, before any compute
+                    groups = pool.take(batch) if pool is not None else draw_batch(
+                        [dataset.samples[k] for k in batch.tolist()], cfg, rng)
+                    total_val, grad_sum = backprop_batch(params, cfg, groups)
                     if not math.isfinite(total_val):
                         raise TrainingDivergedError("non-finite training loss")
                     vec, velocity = sgd_step(
@@ -377,7 +360,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[ScorerParams, TrainTrace]
             diverged = exc
             # Name the first list of the batch whose value or gradient is
             # non-finite.  A non-finite step has none: its sums were finite.
-            values, grads = _backprop_rows(params, cfg, step_pool, rows)
+            values, grads = _backprop_rows(params, cfg, groups)
             bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(grads).all(axis=1)))
             if bad.size:
                 sample_id = dataset.samples[batch[bad[0]]].id

@@ -394,12 +394,15 @@ def params_text(header: str, fields) -> str:
 def score_vector_fault(values, n):
     """What the package's check of one score vector rejects in ``values``
     as the predictions for n items, as ``(exception class name, message)``,
-    or None: a failed float64 conversion, then the shape, the length and
-    finiteness, in that order."""
+    or None: complex numbers, text or bytes, a failed float64 conversion,
+    then the shape, the length and finiteness, in that order."""
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        raw = np.asarray(values)
+        if raw.dtype.kind in "cUS":
+            return "InvalidInputError", f"scores must be real numbers: got {raw.dtype}"
+        arr = raw.astype(np.float64)
     except (TypeError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
+        return "InvalidInputError", f"scores must be real numbers: {exc}"
     if arr.ndim != 1:
         message = f"scores must be 1-D, got shape {arr.shape}"
     elif arr.size < 1:

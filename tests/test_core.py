@@ -184,23 +184,37 @@ class TestPermutation:
         assert perm.order == (1, 0) and perm.order_array.tolist() == [1, 0]
 
 
-class TestRankedSampleGtPerm:
-    def test_built_on_first_access_from_the_scores(self):
-        gt = [2.0, 5.0, 2.0, -1.0, 5.0]
-        s = RankedSample(id="s", items=np.eye(5), gt_scores=gt)
-        assert "gt_perm" not in vars(s)
-        assert s.gt_perm == permutation_from_scores(gt)
-        assert s.gt_perm.order == (1, 4, 0, 2, 3)
-        assert s.gt_perm is s.gt_perm
+class TestRealNumbersOnly:
+    """Complex numbers, text and bytes are rejected, not converted, and a
+    failed float64 conversion raises InvalidInputError."""
 
-    def test_equality_and_repr_ignore_it(self):
-        a = RankedSample(id="s", items=np.eye(3), gt_scores=[1.0, 3.0, 2.0])
-        b = RankedSample(id="s", items=np.eye(3), gt_scores=[1.0, 3.0, 2.0])
-        before = repr(a)
-        assert "gt_perm" not in before
-        a.gt_perm
-        assert repr(a) == before == repr(b)
-        assert a == b and b == a
+    @pytest.mark.parametrize("values, message", [
+        (np.array([1 + 2j, 3 - 1j]), "scores must be real numbers: got complex128"),
+        (["1.5", "2"], "scores must be real numbers: got <U3"),
+        (b"12", "scores must be real numbers: got |S2"),
+        ([object(), 1.0], "scores must be real numbers: "),
+        ([[1.0, 2.0], [3.0]], "scores must be real numbers: "),
+    ])
+    def test_as_score_vector(self, values, message):
+        with pytest.raises(InvalidInputError) as info:
+            core.as_score_vector(values)
+        assert str(info.value).startswith(message)
+
+    def test_real_inputs_still_convert(self):
+        got = core.as_score_vector([True, 2, 2.5, np.float32(0.25), 2**70])
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 2.0, 2.5, 0.25, 2.0**70]
+
+    @pytest.mark.parametrize("items, gt, message", [
+        ([["x"] * 3] * 3, [0.0, 1.0, 2.0], "item features must be real numbers: got <U1"),
+        (np.eye(3) * 1j, [0.0, 1.0, 2.0], "item features must be real numbers: got complex128"),
+        ([[object()] * 2] * 3, [0.0, 1.0, 2.0], "item features must be real numbers: "),
+        (np.eye(3), ["0", "1", "2"], "scores must be real numbers: got <U1"),
+        (np.eye(3), [0j, 1.0, 2.0], "scores must be real numbers: got complex128"),
+    ])
+    def test_ranked_sample(self, items, gt, message):
+        with pytest.raises(InvalidInputError) as info:
+            RankedSample("a", items, gt)
+        assert str(info.value).startswith(message)
 
 
 def as_tuples(pairs):

@@ -56,7 +56,7 @@ class TestGenerateSynthetic:
         hidden = ds.meta["hidden"]
         for s in ds.samples:
             scores = hidden_raw_scores(hidden, s.items)
-            pairs = pairs_from_permutation(s.gt_perm, s.gt_scores)
+            pairs = pairs_from_permutation(permutation_from_scores(s.gt_scores), s.gt_scores)
             assert whdr(pairs, scores) == 0.0
 
     def test_noise_changes_scores(self):
@@ -297,7 +297,7 @@ class TestSamplePairs:
 
     def test_labels_match_pairs_from_permutation(self):
         s = make_sample(n=7)
-        pairs = pairs_from_permutation(s.gt_perm, s.gt_scores)
+        pairs = pairs_from_permutation(permutation_from_scores(s.gt_scores), s.gt_scores)
         lookup = {(a, b): r for a, b, r in zip(*(x.tolist() for x in pairs))}
         i, j, r = sample_pair_arrays(s.gt_scores, 500, SplitMix64(2))
         for a, b, got in zip(i.tolist(), j.tolist(), r.tolist()):

@@ -41,6 +41,9 @@ PREDICTION_FORMS = {
     "float32": lambda z: z.astype(np.float32),
     "int": lambda z: np.round(4 * z).astype(np.int64),
     "numeric text": lambda z: [repr(x) for x in z.tolist()],
+    "numeric bytes": lambda z: [repr(x).encode() for x in z.tolist()],
+    "complex": lambda z: z + 0j,
+    "objects": lambda z: [object()] * z.size,
     "nan": lambda z: np.where(np.arange(z.size) == z.size - 1, np.nan, z),
     "-inf": lambda z: np.concatenate(([-np.inf], z[1:])),
     "short": lambda z: z[1:],
@@ -311,6 +314,17 @@ class TestEvaluate:
         assert report.whdr == 0.25
         assert report.n_pairs == 4
 
+    def test_reads_each_list_length_once(self, monkeypatch):
+        samples = [sample_from_scores(g) for g in ([1.0, 2.0], [3.0, 1.0, 2.0], [0.0, 5.0])]
+        preds = [np.arange(s.n, dtype=np.float64) for s in samples]
+        expected = evaluate(samples, preds)
+        assert metrics.check_evaluable(samples) == [2, 3, 2]
+        reads = []
+        monkeypatch.setattr(RankedSample, "n", property(
+            lambda s: reads.append(s.id) or s.items.shape[0]))
+        assert evaluate(samples, preds) == expected
+        assert len(reads) == len(samples)
+
     def test_rejects_length_mismatch(self):
         samples = [sample_from_scores([1.0, 2.0])]
         with pytest.raises(InvalidInputError):
@@ -344,7 +358,7 @@ class TestEvaluate:
 
         s = sample_from_scores([3.0, 1.0, 1.0, -2.0])
         want = all_pairs(s.gt_scores)
-        got = pairs_from_permutation(s.gt_perm, s.gt_scores)
+        got = pairs_from_permutation(permutation_from_scores(s.gt_scores), s.gt_scores)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
@@ -585,7 +599,8 @@ class TestTieThreshold:
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_rejected_by_whdr_and_evaluate(self, bad):
         samples = [sample_from_scores([3.0, 2.0, 1.0])]
-        pairs = pairs_from_permutation(samples[0].gt_perm, samples[0].gt_scores)
+        gt = samples[0].gt_scores
+        pairs = pairs_from_permutation(permutation_from_scores(gt), gt)
         with pytest.raises(InvalidInputError):
             whdr(pairs, [1.0, 2.0, 3.0], pred_tie_threshold=bad)
         with pytest.raises(InvalidInputError):
@@ -595,6 +610,7 @@ class TestTieThreshold:
     def test_zero_accepted(self, zero):
         samples = [sample_from_scores([3.0, 2.0, 1.0])]
         pred = [np.array([1.0, 1.0, 3.0])]
-        pairs = pairs_from_permutation(samples[0].gt_perm, samples[0].gt_scores)
+        gt = samples[0].gt_scores
+        pairs = pairs_from_permutation(permutation_from_scores(gt), gt)
         assert whdr(pairs, pred[0], pred_tie_threshold=zero) == whdr(pairs, pred[0])
         assert evaluate(samples, pred, pred_tie_threshold=zero) == evaluate(samples, pred)

@@ -3,13 +3,18 @@ import pytest
 from depthrank.metrics import MetricReport
 from depthrank.report import (
     ExperimentReport,
-    TraceSummary,
     render,
     render_comparison,
 )
+from depthrank.trainer import TrainTrace
 
 
-def fixed_report():
+def fixed_report(trace=None):
+    """A train report whose trace, unless given, is a 3-epoch record with
+    seconds set, which no report line may show."""
+    if trace is None:
+        trace = TrainTrace(train_loss=[3.0, 2.25, 1.5], epoch_seconds=[0.5, 0.25, 0.125],
+                           final_eval_whdr=0.125, final_eval_map=0.875)
     return ExperimentReport(
         kind="train",
         seed=42,
@@ -20,9 +25,7 @@ def fixed_report():
                 flags=("degenerate-pred-ties",),
             )
         },
-        trace=TraceSummary(
-            epochs=3, final_train_loss=1.5, final_eval_whdr=0.125, final_eval_map=0.875
-        ),
+        trace=trace,
     )
 
 
@@ -49,11 +52,38 @@ def test_machine_format_golden():
     assert render(fixed_report()) == GOLDEN_MACHINE
 
 
+GOLDEN_HUMAN = """format                  depthrank.report.v1
+build                   0.1.0
+kind                    train
+seed                    42
+config.learning_rate    0.05
+config.loss             listmle
+trace.epochs            3
+trace.final_train_loss  1.5
+trace.final_eval_whdr   0.125
+trace.final_eval_map    0.875
+metrics.eval.whdr       0.125
+metrics.eval.map        0.875
+metrics.eval.ndcg       0.9375
+metrics.eval.n_samples  4
+metrics.eval.n_pairs    24
+metrics.eval.flags      degenerate-pred-ties
+"""
+
+
 def test_human_format_aligns_columns():
     text = render(fixed_report(), fmt="human")
+    assert text == GOLDEN_HUMAN
     lines = text.splitlines()
     assert lines[0] == "format                  depthrank.report.v1"
     assert all("=" not in line.split("  ")[0] for line in lines)
+
+
+def test_empty_trace_prints_no_trace_block():
+    text = render(fixed_report(TrainTrace()))
+    assert "trace." not in text
+    expected = [line for line in GOLDEN_MACHINE.splitlines() if not line.startswith("trace.")]
+    assert text.splitlines() == expected
 
 
 def test_render_rejects_unknown_format():

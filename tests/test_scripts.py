@@ -37,3 +37,32 @@ def test_desk_benchmark_quick_run(tmp_path):
     # the table rounds each MAP to 5 decimals
     printed = maps["noisy"]["weighted-listmle"] - maps["noisy"]["pairwise"]
     assert abs(float(match.group(1)) - printed) <= 1.1e-5
+
+
+def test_cli_cases_manifest_lists_every_file_sorted_with_size_and_sha256(tmp_path):
+    import hashlib
+    import importlib.util
+    import platform
+
+    import numpy as np
+
+    spec = importlib.util.spec_from_file_location("cli_cases", ROOT / "scripts" / "cli_cases.py")
+    cli_cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_cases)
+    files = {"b/stdout.txt": b"out\n", "a/exit.txt": b"0\n", "a/data.txt": b"", "a b/x": b"\r\n"}
+    for path, blob in files.items():
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_bytes(blob)
+    cli_cases.write_manifest(tmp_path)
+    lines = (tmp_path / "MANIFEST.sha256").read_text(encoding="ascii").splitlines()
+    assert lines[0] == f"# python {platform.python_version()} numpy {np.__version__}"
+    assert lines[1:] == [f"{path} {len(files[path])} {hashlib.sha256(files[path]).hexdigest()}"
+                         for path in sorted(files)]
+
+
+def test_committed_cli_cases_manifest_is_well_formed():
+    lines = (ROOT / "tests" / "cli_cases.sha256").read_text(encoding="ascii").splitlines()
+    assert re.fullmatch(r"# python \S+ numpy \S+", lines[0])
+    paths = [line.split(" ")[0] for line in lines[1:]]
+    assert paths == sorted(paths) and len(set(paths)) == len(paths)
+    assert all(re.fullmatch(r"\S+ \d+ [0-9a-f]{64}", line) for line in lines[1:])

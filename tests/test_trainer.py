@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import warnings
@@ -189,7 +190,8 @@ RAGGED_SIZES = (2, 3, 4, 5, 7)
 
 def ragged_batch(seed, size, loss, family, points=4, pairs=5):
     """A config, scorer params, ``size`` samples of mixed length with tied
-    ground truth, and one drawn list per sample, in batch order."""
+    ground truth, one drawn list per sample, in batch order, and the same
+    draws as :func:`draw_batch`'s groups."""
     rng = SplitMix64(seed)
     cfg = TrainConfig(loss=loss, learning_rate=0.1, epochs=1, seed=0, scorer=family,
                       hidden_size=3, points_per_sample=points, pairs_per_sample=pairs)
@@ -201,21 +203,27 @@ def ragged_batch(seed, size, loss, family, points=4, pairs=5):
         samples.append(RankedSample(id=f"r{k}", items=rng.normals(n * 3).reshape(n, 3),
                                     gt_scores=gt))
     params = random_params(family, 3, cfg.hidden_size, rng)
+    groups = draw_batch(samples, cfg, copy.deepcopy(rng))
     targets = [draw_target(s, cfg, rng) for s in samples]
-    return cfg, params, samples, targets
+    return cfg, params, samples, targets, groups
 
 
-def pool_of(lists):
-    """A pool of these :func:`draw_target` lists, grouped by list length as
-    :func:`draw_batch` groups them."""
-    return _ListPool([(members, tuple(np.stack(col) for col in
-                                      zip(*(lists[k] for k in members.tolist()))))
-                      for members in _same_size([len(x) for x, *_ in lists])])
+def groups_of(lists):
+    """These :func:`draw_target` lists in :func:`draw_batch`'s form: grouped
+    by list length, each column of a group stacked."""
+    return [(members, tuple(np.stack(col) for col in zip(*(lists[k] for k in members.tolist()))))
+            for members in _same_size([len(x) for x, *_ in lists])]
 
 
 def backprop_lists(params, cfg, lists):
-    """The batched step over a pool of exactly these lists, as train takes drawn lists."""
-    return backprop_batch(params, cfg, pool_of(lists), np.arange(len(lists)))
+    """The batched step over exactly these lists, gathered from a pool of them."""
+    return backprop_batch(params, cfg, _ListPool(groups_of(lists)).take(np.arange(len(lists))))
+
+
+def same_step(got, expected):
+    """Two (loss value, gradient) results agree bit for bit, signed zeros too."""
+    return (np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
+            and got[1].tobytes() == expected[1].tobytes())
 
 
 class TestBackpropBatch:
@@ -224,8 +232,8 @@ class TestBackpropBatch:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32), size=st.integers(1, 9))
     def test_equals_in_order_sum_of_one_sample_calls(self, loss, family, seed, size):
-        cfg, params, samples, targets = ragged_batch(seed, size, loss, family)
-        total, grad = backprop_lists(params, cfg, targets)
+        cfg, params, samples, targets, groups = ragged_batch(seed, size, loss, family)
+        total, grad = backprop_batch(params, cfg, groups)
         seq_total, seq_grad = 0.0, np.zeros_like(params_to_vector(params))
         for sample, target in zip(samples, targets):
             value, g = backprop(params, sample, cfg, target)
@@ -234,18 +242,19 @@ class TestBackpropBatch:
         assert total == seq_total
         assert np.array_equal(grad, seq_grad)
         assert grad.tobytes() == seq_grad.tobytes()  # signed zeros too
+        assert same_step(backprop_lists(params, cfg, targets), (total, grad))
 
     @pytest.mark.parametrize("family", SCORER_FAMILIES)
     @pytest.mark.parametrize("loss", LOSS_KINDS)
     def test_batch_mean_gradient_check(self, loss, family):
         # lengths 5, 2, 4, 5, 3, 3: a drawn subset, n = 2 and whole samples
-        cfg, params, samples, targets = ragged_batch(84, 6, loss, family)
+        cfg, params, samples, _, groups = ragged_batch(84, 6, loss, family)
         assert {s.n for s in samples} == {2, 3, 4, 5}
         b = len(samples)
-        _, grad = backprop_lists(params, cfg, targets)
+        _, grad = backprop_batch(params, cfg, groups)
 
         def mean_loss(v):
-            return backprop_lists(vector_to_params(v, params), cfg, targets)[0] / b
+            return backprop_batch(vector_to_params(v, params), cfg, groups)[0] / b
 
         err = gradient_check(mean_loss, grad / b, params_to_vector(params))
         assert err < GRADCHECK_TOLERANCES[family]
@@ -254,27 +263,36 @@ class TestBackpropBatch:
     @pytest.mark.parametrize("loss", ["listnet", "listmle", "weighted-listmle"])
     def test_stacked_static_targets_give_the_batched_step(self, loss, family):
         # whole samples, which train pools once when points_per_sample >= every n
-        cfg, params, samples, _ = ragged_batch(82, 12, loss, family, points=7)
+        cfg, params, samples, _, _ = ragged_batch(82, 12, loss, family, points=7)
         pool_gathers_like_per_batch_pools(cfg, params, [draw_target(s, cfg) for s in samples])
 
     @pytest.mark.parametrize("family", SCORER_FAMILIES)
     @pytest.mark.parametrize("loss", LOSS_KINDS)
     def test_pool_of_drawn_lists_gives_the_batched_step(self, loss, family):
-        cfg, params, _, targets = ragged_batch(85, 12, loss, family)
+        cfg, params, _, targets, _ = ragged_batch(85, 12, loss, family)
         pool_gathers_like_per_batch_pools(cfg, params, targets)
+
+    @pytest.mark.parametrize("family", SCORER_FAMILIES)
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    def test_backprop_of_the_whole_sample_equals_its_drawn_list(self, loss, family):
+        cfg, params, samples, _, _ = ragged_batch(86, 12, loss, family)
+        assert 2 in {s.n for s in samples}
+        for sample in samples:
+            expected = backprop(params, sample, cfg, draw_target(sample, cfg))
+            assert same_step(backprop(params, sample, cfg), expected)
 
 
 def pool_gathers_like_per_batch_pools(cfg, params, lists):
     """One pool of all lists, gathered per batch, gives each batch's step
-    bit for bit, as a pool of just that batch's lists does, and each
-    gathered column, features included, holds those lists' own bits."""
-    pool = pool_of(lists)
+    bit for bit, as that batch's lists alone in :func:`draw_batch`'s form
+    do, and each gathered column, features included, holds those lists'
+    own bits."""
+    pool = _ListPool(groups_of(lists))
     for batch in np.array_split(SplitMix64(83).permutation(len(lists)), [8]):
-        got = backprop_batch(params, cfg, pool, batch)
-        expected = backprop_lists(params, cfg, [lists[k] for k in batch])
-        assert got[0] == expected[0]
-        assert got[1].tobytes() == expected[1].tobytes()
-        for rows, cols in pool.take(batch):
+        groups = pool.take(batch)
+        expected = backprop_batch(params, cfg, groups_of([lists[k] for k in batch]))
+        assert same_step(backprop_batch(params, cfg, groups), expected)
+        for rows, cols in groups:
             assert len(cols) == len(lists[0])
             for t, k in enumerate(batch[rows].tolist()):
                 assert same_target(tuple(c[t] for c in cols), lists[k])
